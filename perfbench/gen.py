@@ -19,10 +19,8 @@ THREADS = (1, 2, 3, 4, 5, 6)
 EXPERIMENTS = ("threads", "fetch", "su", "cache")
 
 #: serve-mixed runs in blocks of this many fresh jobs, one from each
-#: cost stratum, plus three repeats per fresh job (75% repeats).
+#: cost stratum, plus the repeats :func:`serve_repeats` derives.
 SERVE_STRATA = 9
-SERVE_REPEATS_PER_FRESH = 3
-SERVE_BLOCK = SERVE_STRATA * (1 + SERVE_REPEATS_PER_FRESH)
 
 
 class Invocation:
@@ -99,17 +97,37 @@ def sweep_round(seed, workers, reference):
     return round_
 
 
+def serve_repeats(reference):
+    """Repeats per block of :data:`SERVE_STRATA` fresh jobs.
+
+    The repeat share is the one a user sees who renders the four paper
+    reports through ``repro report --service``: of the cells the four
+    experiments grid over the light programs, the share that names a
+    job an earlier cell already asked for. With threads over 1-6 that is
+    72 of 234 cells, 4 repeats per 9 fresh jobs (31%); over all eleven
+    programs it is the same, 88 of 286. Where the pinned grids change,
+    the share follows them.
+    """
+    cells, seen = 0, set()
+    for experiment in EXPERIMENTS:
+        for name, columns in reference["cells"][experiment].items():
+            if name in LIGHT:
+                cells += len(columns)
+                seen.update(key for _, key in columns.values())
+    return round(SERVE_STRATA * (cells - len(seen)) / len(seen))
+
+
 def serve_stream(seed, reference):
-    """The serve-mixed request stream: ``[(key, repeat), ...]``.
+    """The serve-mixed request stream ``[(key, repeat), ...]`` and its
+    block length.
 
     The light programs' pinned jobs are split into :data:`SERVE_STRATA`
     strata by committed instructions, a proxy for simulation cost. Each
-    block of :data:`SERVE_BLOCK` requests takes one unused job from
-    every stratum, in seeded order, and sends each as a fresh request
-    followed by three repeats, each naming a uniformly chosen fresh job
-    sent before it, the one just sent included. Every block therefore
-    costs about the same, and a run that stops at a block boundary has
-    done balanced work.
+    block takes one unused job from every stratum, in seeded order, and
+    puts :func:`serve_repeats` repeats at seeded places after its first
+    request. A repeat names a uniformly chosen fresh job sent before
+    it. Every block therefore costs about the same, and a run that
+    stops at a block boundary has done balanced work.
     """
     rng = random.Random(f"serve-{seed}")
     jobs = reference["jobs"]
@@ -119,13 +137,17 @@ def serve_stream(seed, reference):
     strata = [keys[i:i + size] for i in range(0, len(keys), size)]
     for stratum in strata:
         rng.shuffle(stratum)
+    repeats = serve_repeats(reference)
+    block = SERVE_STRATA + repeats
     stream, issued = [], []
     while all(strata):
         fresh = [stratum.pop() for stratum in strata]
         rng.shuffle(fresh)
-        for key in fresh:
-            issued.append(key)
-            stream.append((key, False))
-            stream += [(rng.choice(issued), True)
-                       for _ in range(SERVE_REPEATS_PER_FRESH)]
-    return stream
+        places = set(rng.sample(range(1, block), repeats))
+        for place in range(block):
+            if place in places:
+                stream.append((rng.choice(issued), True))
+            else:
+                issued.append(fresh.pop())
+                stream.append((issued[-1], False))
+    return stream, block

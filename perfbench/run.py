@@ -15,8 +15,8 @@ Workloads (README.md says why each exists):
     set-up filled; each pass first restores their saved bytes.
 ``serve-mixed``
     One ``repro serve`` with default settings and two closed-loop
-    ``ServiceClient.run_job`` threads on a seeded job stream, 75% of
-    it repeats of earlier jobs.
+    ``ServiceClient.run_job`` threads on a seeded job stream, 31% of
+    it repeats of earlier jobs (``gen.serve_repeats`` says why).
 
 Every program process runs with ``REPRO_CACHE``, ``REPRO_LEDGER`` and
 ``REPRO_CODEGEN_CACHE`` inside a private state directory under
@@ -60,6 +60,10 @@ PROCESS_TIMEOUT = 170
 
 #: Seconds a server gets to print its banner, or to drain and exit.
 SERVER_TIMEOUT = 30
+
+#: serve-mixed round trips per run at least, so that ``job_p90_ms`` has
+#: ten beyond it.
+SERVE_MIN_TRIPS = 100
 
 END_TO_END = (("setup_s", "s"), ("jobs_per_s", "1/s"),
               ("job_p50_ms", "ms"), ("job_p90_ms", "ms"),
@@ -346,18 +350,28 @@ class Server:
         raise SystemExit("perfbench: repro serve never became ready")
 
     def take_peak_rss(self):
-        """Peak RSS in MB since the last call; then resets the peak.
-        Where the kernel refuses the reset, the peak stays the
-        server's peak so far."""
-        proc = Path("/proc") / str(self.proc.pid)
-        status = (proc / "status").read_text()
-        peak = next(line.split()[1] for line in status.splitlines()
-                    if line.startswith("VmHWM:"))
-        try:
-            (proc / "clear_refs").write_text("5")
-        except OSError:
-            pass
-        return int(peak) / 1024
+        """The largest peak RSS in MB since the last call among the
+        server and its descendants (pool workers), as ``wait4`` takes
+        it on the sweeps; then resets their peaks. A peak that cannot be
+        reset raises ``RuntimeError``: it would be a whole-run peak."""
+        peak = 0
+        for pid in _descendants(self.proc.pid):
+            proc = Path("/proc") / str(pid)
+            try:
+                status = (proc / "status").read_text()
+            except OSError:
+                continue        # ended since the scan
+            peak = max(peak, next(int(line.split()[1]) for line in
+                                  status.splitlines()
+                                  if line.startswith("VmHWM:")))
+            try:
+                (proc / "clear_refs").write_text("5")
+            except FileNotFoundError:
+                continue
+            except OSError as error:
+                raise RuntimeError(f"cannot reset the peak RSS of process "
+                                   f"{pid}: {error}") from None
+        return peak / 1024
 
     def stop(self):
         """SIGTERM, drain and reap; returns (exit code, stdout, RSS MB)."""
@@ -368,6 +382,38 @@ class Server:
         self.proc.stdout.close()
         code, rss = reap(self.proc, SERVER_TIMEOUT)
         return code, rest, rss
+
+
+def _descendants(root):
+    """``root`` and every live process below it."""
+    parents = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            parents[int(entry.name)] = int(stat.rsplit(")", 1)[1].split()[1])
+    found = [root]
+    for pid in found:
+        found += [child for child, parent in parents.items()
+                  if parent == pid]
+    return found
+
+
+def accepting_client(host, port, accepted):
+    """A ``ServiceClient`` whose ``run_job`` calls ``accepted()`` once
+    the server has answered its submit, before it waits for the
+    result."""
+    from repro.service.client import ServiceClient
+
+    class Client(ServiceClient):
+        def submit(self, payload, request_id=None):
+            doc = super().submit(payload, request_id=request_id)
+            accepted()
+            return doc
+
+    return Client(host, port)
 
 
 def serve_setup(base):
@@ -384,24 +430,26 @@ def serve_setup(base):
 
 def serve_mixed(args, base, reference, spans=None):
     """Two closed-loop clients against a fresh server, for whole stream
-    blocks until ``--seconds`` have passed. Returns the tally, the
+    blocks until ``--seconds`` have passed and at least
+    :data:`SERVE_MIN_TRIPS` requests are done. Returns the tally, the
     parsed ``GET /metrics`` scrape and the server.
 
     The stream is split between the clients by kind: one sends the
     fresh requests in stream order, the other the repeats, each repeat
-    only once every fresh request before it in the stream has been
-    sent. The share of repeats is the stream's, and neither client's
-    rate depends on how the two happen to interleave.
+    only once the server has accepted every fresh request before it in
+    the stream. So a repeat never starts the simulation it repeats, the
+    share of repeats is the stream's, and neither client's rate depends
+    on how the two happen to interleave.
     """
     from repro.obs.runtime import parse_promtext
     from repro.service.client import ServiceClient
 
-    stream = gen.serve_stream(args.seed, reference)
+    stream, block = gen.serve_stream(args.seed, reference)
     server = Server(base, "serve-traced" if spans else "serve", spans)
     tally = Tally()
     lock = threading.Lock()
     progress = threading.Condition()
-    sent = [-1]             # stream position of the last fresh request sent
+    sent = [-1]             # stream position of the last fresh request accepted
     end = [len(stream)]     # where the fresh client stopped
     done_jobs = set()
     repeats = [0]
@@ -443,22 +491,35 @@ def serve_mixed(args, base, reference, spans=None):
                 tally.stats[key] = result["stats"]
 
     def fresh_client():
-        client = ServiceClient(server.host, server.port)
+        position = [-1]
+
+        def accepted():
+            with progress:
+                sent[0] = max(sent[0], position[0])
+                progress.notify_all()
+
+        client = accepting_client(server.host, server.port, accepted)
         stop = len(stream)
         try:
             for index, (_, repeat) in enumerate(stream):
                 if repeat:
                     continue
-                if index % gen.SERVE_BLOCK == 0 and index:
+                if index % block == 0 and index:
+                    stop = index
                     tally.rss_mb.append(server.take_peak_rss())
-                    if time.perf_counter() >= deadline:
-                        stop = index
+                    if (time.perf_counter() >= deadline
+                            and index >= SERVE_MIN_TRIPS):
                         return
-                with progress:
-                    sent[0] = index
-                    progress.notify_all()
+                position[0] = index
                 request(client, index)
+                # A submit that raised was never accepted; the repeats
+                # after it go out all the same.
+                accepted()
+            stop = len(stream)
             tally.rss_mb.append(server.take_peak_rss())
+        except RuntimeError as error:
+            with lock:
+                tally.fail(1, str(error))
         finally:
             with progress:
                 end[0] = stop
@@ -556,11 +617,13 @@ def run_workload(args, base, reference):
         traced, runs = sweep_cold(args, base, reference, spans_root)
         scrape = None
     else:
-        # The fill is a whole cold round, so it runs once per run.
+        # The fill is a whole cold round, which sweep-cold times. Timed
+        # once per run, it would carry the host's drift into setup_s.
         setup = probe_setup(base)
         start = time.perf_counter()
         warm = fill_warm(args, base, reference)
-        setup += time.perf_counter() - start
+        print(f"# warm fill {time.perf_counter() - start:.2f} s, "
+              f"not in setup_s")
         tally, _ = sweep_warm(args, reference, warm)
         if not trace:
             return tally.end_to_end(setup), [tally]
