@@ -51,41 +51,46 @@ class Invocation:
 
 
 def _tiers(reference):
-    """The light programs in three cost tiers, cheapest first, by
-    their pinned jobs' mean simulated cycles."""
-    cycles = {}
+    """The light programs in three cost tiers, cheapest first, by their
+    pinned jobs' mean committed instructions. Host time follows that
+    order exactly (measured over the four experiments); simulated
+    cycles do not."""
+    committed = {}
     for job in reference["jobs"].values():
-        cycles.setdefault(job["workload"], []).append(job["cycles"])
+        committed.setdefault(job["workload"], []).append(job["committed"])
     ranked = sorted(LIGHT, key=lambda name: (
-        sum(cycles[name]) / len(cycles[name]), name))
+        sum(committed[name]) / len(committed[name]), name))
     return [ranked[i:i + 3] for i in range(0, len(ranked), 3)]
 
 
 def sweep_round(seed, workers, reference):
     """One invocation per experiment, in a seeded order.
 
-    Every invocation grids one light program from each cost tier, each
-    tier shuffled by seed. The small experiments (threads over the six
-    thread counts, fetch) add one heavy program each; the large ones
-    (su, cache) add a second program from the middle tier. So every
-    round is 104 jobs of about the same cost, whatever the seed.
+    The light programs form three triples, one from each cost tier,
+    matched so that each triple costs about the same: the cheapest of
+    the cheap tier goes with the dearest of the other two, and so on.
+    The seed deals the triples out to the experiments. The small
+    experiments (threads over the six thread counts, fetch) add one
+    heavy program each, the seed choosing which; the large ones (su,
+    cache) add the middle program of the next triple. So every round is
+    104 jobs of about the same cost, and each experiment's invocation
+    costs about the same, whatever the seed.
     """
     rng = random.Random(f"sweep-{seed}")
     order = list(EXPERIMENTS)
     rng.shuffle(order)
-    tiers = _tiers(reference)
-    for tier in tiers:
-        rng.shuffle(tier)
+    cheap, middle, dear = _tiers(reference)
+    triples = list(zip(cheap, reversed(middle), reversed(dear)))
+    rng.shuffle(triples)
     heavy = list(HEAVY)
     rng.shuffle(heavy)
     round_ = []
     for slot, experiment in enumerate(order):
-        names = [tier[slot % len(tier)] for tier in tiers]
+        names = list(triples[slot % len(triples)])
         if experiment in ("threads", "fetch"):
             names.append(heavy.pop())
         else:
-            middle = tiers[1]
-            names.append(middle[(slot + 1) % len(middle)])
+            names.append(triples[(slot + 1) % len(triples)][1])
         rng.shuffle(names)
         argv = ["report", "--experiment", experiment,
                 "--workloads", *names, "--workers", str(workers)]

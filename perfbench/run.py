@@ -61,31 +61,40 @@ PROCESS_TIMEOUT = 170
 #: Seconds a server gets to print its banner, or to drain and exit.
 SERVER_TIMEOUT = 30
 
-#: serve-mixed round trips per run at least, so that ``job_p90_ms`` has
-#: ten beyond it.
+#: serve-mixed round trips per run at least, so that ``job_cpu_p90_ms``
+#: has ten beyond it.
 SERVE_MIN_TRIPS = 100
 
-END_TO_END = (("setup_s", "s"), ("jobs_per_s", "1/s"),
-              ("job_p50_ms", "ms"), ("job_p90_ms", "ms"),
+END_TO_END = (("setup_s", "s"), ("jobs_per_cpu_s", "1/s"),
+              ("job_cpu_p50_ms", "ms"), ("job_cpu_p90_ms", "ms"),
               ("peak_rss_mb", "MB"))
+
+#: Printed above the JSON, not in it: what the wall clock gave, which
+#: on a shared host follows how much CPU the host lent the run, and
+#: ``hit_cpu_p50_ms``, which only workloads with repeats have.
+WALL = (("jobs_per_s", "1/s"), ("job_p50_ms", "ms"), ("job_p90_ms", "ms"),
+        ("hit_p50_ms", "ms"), ("hit_cpu_p50_ms", "ms"))
 
 
 class Tally:
     """What one timed part attempted, how long it took and what failed.
 
-    A job's round trip is one ``run_job`` call on serve-mixed. On the
-    sweeps it is its invocation's wall time: the user sees no result
-    until the table prints.
+    A round trip is one ``run_job`` call on serve-mixed, and one
+    ``repro report`` invocation on the sweeps: the user sees none of its
+    jobs until the table prints. Each is timed twice: on the wall clock,
+    and on the CPU clock of the program's processes, which stops while
+    the host runs something else.
     """
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
         self.seconds = 0.0
+        self.cpu_seconds = 0.0  # of the program's processes
         # Peak RSS in MB per program invocation on the sweeps, per
         # stream block of the one server on serve-mixed.
         self.rss_mb = []
-        self.latencies = []     # (ms, repeat)
+        self.latencies = []     # (wall ms, CPU ms, repeat)
         self.problems = []
         self.stats = {}         # job key -> simulated stats dict
 
@@ -93,10 +102,12 @@ class Tally:
         self.failed += count
         self.problems.append(problem)
 
-    def percentile(self, share, repeat=None):
+    def percentile(self, share, repeat=None, cpu=True):
         """Round-trip percentile in ms, nearest rank; the median
-        interpolates. ``repeat`` narrows it to repeats or fresh jobs."""
-        values = sorted(ms for ms, rep in self.latencies
+        interpolates. ``repeat`` narrows it to repeats or fresh jobs,
+        ``cpu`` picks the clock."""
+        values = sorted(cpu_ms if cpu else wall_ms
+                        for wall_ms, cpu_ms, rep in self.latencies
                         if repeat is None or rep == repeat)
         if not values:
             return 0.0
@@ -104,15 +115,27 @@ class Tally:
             return statistics.median(values)
         return values[max(0, math.ceil(share * len(values)) - 1)]
 
-    def jobs_per_s(self):
+    def jobs_per_s(self, cpu=True):
         ok = self.attempted - self.failed
-        return ok / self.seconds if self.seconds else 0.0
+        seconds = self.cpu_seconds if cpu else self.seconds
+        return ok / seconds if seconds else 0.0
 
-    def end_to_end(self, setup_s):
-        return {"setup_s": setup_s, "jobs_per_s": self.jobs_per_s(),
-                "job_p50_ms": self.percentile(0.5),
-                "job_p90_ms": self.percentile(0.9),
+    def end_to_end(self, setup):
+        """``setup`` holds the CPU seconds of each set-up step."""
+        return {"setup_s": statistics.median(setup),
+                "jobs_per_cpu_s": self.jobs_per_s(),
+                "job_cpu_p50_ms": self.percentile(0.5),
+                "job_cpu_p90_ms": self.percentile(0.9),
                 "peak_rss_mb": statistics.mean(self.rss_mb)}
+
+    def wall(self):
+        out = {"jobs_per_s": self.jobs_per_s(cpu=False),
+               "job_p50_ms": self.percentile(0.5, cpu=False),
+               "job_p90_ms": self.percentile(0.9, cpu=False)}
+        if any(repeat for _, _, repeat in self.latencies):
+            out["hit_p50_ms"] = self.percentile(0.5, True, cpu=False)
+            out["hit_cpu_p50_ms"] = self.percentile(0.5, True)
+        return out
 
 
 # ------------------------------------------------------------ processes
@@ -182,23 +205,43 @@ def _kill_after(proc, seconds):
 
 
 def reap(proc, timeout=PROCESS_TIMEOUT):
-    """Wait for ``proc``; returns its exit code and the peak RSS in MB
-    of it and every descendant it waited for."""
+    """Wait for ``proc``; returns its exit code, and the peak RSS in MB
+    and the CPU seconds of it and every descendant it waited for."""
     with _kill_after(proc, timeout):
         _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    return (proc.returncode, usage.ru_maxrss / 1024,
+            usage.ru_utime + usage.ru_stime)
+
+
+def tree_cpu_s(root):
+    """CPU seconds so far of ``root``, its live descendants and the
+    children it has reaped. The kernel leaves out of these clocks the
+    time the hypervisor gave the CPU to someone else."""
+    total = 0.0
+    for pid in _descendants(root):
+        try:
+            # The process CPU clock of ``pid``, as clock_getcpuclockid
+            # builds it.
+            total += time.clock_gettime(((~pid) << 3) | 2)
+        except OSError:
+            continue            # ended since the scan
+    fields = (Path("/proc") / str(root) / "stat").read_text() \
+        .rsplit(")", 1)[1].split()
+    return total + (int(fields[13]) + int(fields[14])) / os.sysconf(
+        "SC_CLK_TCK")
 
 
 def run_repro(state, argv, spans=None):
-    """``(exit code, stdout, seconds, peak RSS MB, start time)``."""
+    """``(exit code, stdout, seconds, CPU seconds, peak RSS MB, start
+    time)``."""
     out_path = state.dir / "stdout"
     with open(out_path, "wb") as out:
         start = time.perf_counter()
         proc = spawn(state, argv, spans, stdout=out)
-        code, rss = reap(proc)
+        code, rss, cpu = reap(proc)
         seconds = time.perf_counter() - start
-    return code, out_path.read_text(), seconds, rss, start
+    return code, out_path.read_text(), seconds, cpu, rss, start
 
 
 def stderr_tail(state, lines=3):
@@ -209,9 +252,9 @@ def stderr_tail(state, lines=3):
 
 def probe(base, names):
     """One start-up check: ``repro workloads`` lists every workload the
-    inputs name. Returns its wall time."""
+    inputs name. Returns its CPU seconds."""
     state = State(base, "probe")
-    code, stdout, seconds, _, _ = run_repro(state, ["workloads"])
+    code, stdout, _, seconds, _, _ = run_repro(state, ["workloads"])
     listed = {line.split()[0] for line in stdout.splitlines() if line.strip()}
     missing = sorted(set(names) - listed)
     if code != 0 or missing:
@@ -222,8 +265,8 @@ def probe(base, names):
 
 
 def probe_setup(base):
-    return statistics.median(probe(base, gen.HEAVY + gen.LIGHT)
-                             for _ in range(SETUP_REPEATS))
+    return [probe(base, gen.HEAVY + gen.LIGHT)
+            for _ in range(SETUP_REPEATS)]
 
 
 # ---------------------------------------------------------------- sweeps
@@ -237,14 +280,15 @@ def report(state, invocation, reference, tally, *, spans=None, expect=None,
     its own records start. Returns its stdout.
     """
     keys = [key for _, key in invocation.expected(reference).values()]
-    code, stdout, seconds, rss, start = run_repro(state, invocation.argv,
-                                                  spans)
+    code, stdout, seconds, cpu, rss, start = run_repro(
+        state, invocation.argv, spans)
     if runs is not None:
         runs.append((start, spans))
     tally.attempted += len(keys)
     tally.seconds += seconds
+    tally.cpu_seconds += cpu
     tally.rss_mb.append(rss)
-    tally.latencies += [(1000 * seconds, expect is not None)] * len(keys)
+    tally.latencies.append((1000 * seconds, 1000 * cpu, expect is not None))
     name = " ".join(invocation.argv[:3])
     if code != 0:
         tally.fail(len(keys), f"{name} exited {code}: {stderr_tail(state)}")
@@ -333,6 +377,7 @@ class Server:
         self.host, port = address.rsplit(":", 1)
         self.port = int(port)
         self.ready_s = self._wait_ready() - self.start
+        self.ready_cpu_s = self.cpu_s()
 
     def _wait_ready(self):
         from repro.service.client import ServiceClient
@@ -348,6 +393,9 @@ class Server:
             time.sleep(0.005)
         self.stop()
         raise SystemExit("perfbench: repro serve never became ready")
+
+    def cpu_s(self):
+        return tree_cpu_s(self.proc.pid)
 
     def take_peak_rss(self):
         """The largest peak RSS in MB since the last call among the
@@ -380,7 +428,7 @@ class Server:
         with _kill_after(self.proc, SERVER_TIMEOUT):
             rest = self.proc.stdout.read().decode()
         self.proc.stdout.close()
-        code, rss = reap(self.proc, SERVER_TIMEOUT)
+        code, rss, _ = reap(self.proc, SERVER_TIMEOUT)
         return code, rest, rss
 
 
@@ -417,12 +465,12 @@ def accepting_client(host, port, accepted):
 
 
 def serve_setup(base):
-    """Start-to-ready seconds of ``SETUP_REPEATS - 1`` servers, each
+    """Start-to-ready CPU seconds of ``SETUP_REPEATS - 1`` servers, each
     stopped again; the server that then serves adds the last one."""
     times = []
     for attempt in range(SETUP_REPEATS - 1):
         server = Server(base, f"serve-setup-{attempt}")
-        times.append(server.ready_s)
+        times.append(server.ready_cpu_s)
         server.stop()
         server.state.remove()
     return times
@@ -453,13 +501,14 @@ def serve_mixed(args, base, reference, spans=None):
     end = [len(stream)]     # where the fresh client stopped
     done_jobs = set()
     repeats = [0]
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), server.cpu_s()
     deadline = start + args.seconds
 
     def request(client, index):
         key, repeat = stream[index]
         job = reference["jobs"][key]
         payload = {"workload": job["workload"], "config": job["config"]}
+        cpu = server.cpu_s()
         begun = time.perf_counter()
         problem = None
         try:
@@ -468,6 +517,7 @@ def serve_mixed(args, base, reference, spans=None):
         except Exception as error:  # noqa: BLE001 - counted as failed
             doc, problem = None, f"{key}: {type(error).__name__}: {error}"
         elapsed = 1000 * (time.perf_counter() - begun)
+        cpu = 1000 * (server.cpu_s() - cpu)
         if doc is not None:
             result = doc.get("result") or {}
             if doc.get("state") != "done":
@@ -481,7 +531,7 @@ def serve_mixed(args, base, reference, spans=None):
                     result.get("verified"))
         with lock:
             tally.attempted += 1
-            tally.latencies.append((elapsed, repeat))
+            tally.latencies.append((elapsed, cpu, repeat))
             repeats[0] += repeat
             if doc is not None and doc.get("state") == "done":
                 done_jobs.add(doc["job_id"])
@@ -547,6 +597,7 @@ def serve_mixed(args, base, reference, spans=None):
         for thread in threads:
             thread.join()
         tally.seconds = time.perf_counter() - start
+        tally.cpu_seconds = server.cpu_s() - start_cpu
         scrape_text = ServiceClient(server.host, server.port).metrics_text()
     finally:
         code, rest, _ = server.stop()
@@ -603,9 +654,9 @@ def run_workload(args, base, reference):
     if args.workload == "serve-mixed":
         setup = serve_setup(base)
         tally, scrape, server = serve_mixed(args, base, reference)
-        setup.append(server.ready_s)
+        setup.append(server.ready_cpu_s)
         if not trace:
-            return tally.end_to_end(statistics.median(setup)), [tally]
+            return tally.end_to_end(setup), [tally]
         traced, scrape, server = serve_mixed(args, base, reference,
                                              spans_root)
         runs = [(server.start, spans_root)]
@@ -622,7 +673,7 @@ def run_workload(args, base, reference):
         setup = probe_setup(base)
         start = time.perf_counter()
         warm = fill_warm(args, base, reference)
-        print(f"# warm fill {time.perf_counter() - start:.2f} s, "
+        print(f"# warm fill {time.perf_counter() - start:.2f} s wall, "
               f"not in setup_s")
         tally, _ = sweep_warm(args, reference, warm)
         if not trace:
@@ -631,7 +682,7 @@ def run_workload(args, base, reference):
         scrape = None
 
     metrics = layers.compute(runs, scrape)
-    metrics["trace.jobs_per_s"] = traced.jobs_per_s()
+    metrics["trace.jobs_per_cpu_s"] = traced.jobs_per_s()
     metrics["trace.overhead_pct"] = (
         100 * (tally.jobs_per_s() / traced.jobs_per_s() - 1)
         if traced.jobs_per_s() else 0.0)
@@ -644,7 +695,8 @@ def run_workload(args, base, reference):
 def units():
     out = dict(END_TO_END)
     out.update(layers.METRICS)
-    out.update({"trace.jobs_per_s": "1/s", "trace.overhead_pct": "%"})
+    out.update(WALL)
+    out.update({"trace.jobs_per_cpu_s": "1/s", "trace.overhead_pct": "%"})
     return out
 
 
@@ -683,16 +735,16 @@ def main(argv=None):
     tally = tallies[0]
     unit = units()
     print(f"# {args.workload} seed={args.seed} trace={args.trace}: "
-          f"{tally.attempted} jobs in {tally.seconds:.2f} s")
+          f"{tally.attempted} jobs in {tally.seconds:.2f} s wall, "
+          f"{tally.cpu_seconds:.2f} s program CPU")
     rows = dict(metrics)
     if args.trace == 0:
-        hits = sum(1 for _, repeat in tally.latencies if repeat)
+        hits = sum(1 for _, _, repeat in tally.latencies if repeat)
         print(f"# {len(tally.latencies)} round trips, {hits} of them "
               f"repeats")
-        if hits:
-            rows["hit_p50_ms"] = tally.percentile(0.5, repeat=True)
+        rows.update(tally.wall())
         rows["failed_frac"] = failed / attempted if attempted else 1.0
-        unit.update(hit_p50_ms="ms", failed_frac="ratio")
+        unit.update(failed_frac="ratio")
     for name, value in rows.items():
         print(f"{name:28s} {value:14.4f} {unit[name]}")
     print(json.dumps({
