@@ -52,9 +52,9 @@ class Invocation:
 
 def _tiers(reference):
     """The light programs in three cost tiers, cheapest first, by their
-    pinned jobs' mean committed instructions. Host time follows that
-    order exactly (measured over the four experiments); simulated
-    cycles do not."""
+    pinned jobs' mean committed instructions. Host time over the four
+    experiments follows that order exactly on a 2-core Xeon VM;
+    simulated cycles do not."""
     committed = {}
     for job in reference["jobs"].values():
         committed.setdefault(job["workload"], []).append(job["committed"])
