@@ -39,8 +39,8 @@ Commands
     renders a *finished* sweep's table without re-simulating.
 ``sweep LOG``
     Summarize a finished sweep from its JSONL event log (see
-    ``--events``): lifecycle accounting, cache/batch counters, backend
-    mix, ``--waterfall`` per-job timelines, and failure forensics.
+    ``--events``): lifecycle accounting, cache counters,
+    ``--waterfall`` per-job timelines, and failure forensics.
     Exits 1 if the accounting invariant is violated (a job without
     exactly one queued + one terminal event).
 ``serve``
@@ -332,20 +332,7 @@ def cmd_trace(args):
 def cmd_stats(args):
     config = _machine_config(args)
     program = _resolve_program(args.prog, args.threads, args.align)
-    backend = args.backend
-    if backend == "auto":
-        # Resolve to the concrete engine before anything records it:
-        # ledger records and --json carry the backend that executed,
-        # never the literal "auto". For a single ad-hoc run, spec wins
-        # only when a prior run already paid for codegen (process or
-        # on-disk source cache); otherwise the interpreter runs.
-        from repro.core.codegen import have_engine
-        backend = "spec" if have_engine(config) else "scalar"
-    if backend == "spec":
-        from repro.core.codegen import make_spec
-        sim = make_spec(program, config)
-    else:
-        sim = PipelineSim(program, config)
+    sim = PipelineSim(program, config)
     if args.breakdown or args.json:
         attr = sim.attach_attribution()
         sim.attach_metrics()
@@ -363,7 +350,7 @@ def cmd_stats(args):
             source="cli.stats", workload=args.prog, config=config,
             stats=stats, timestamp=ledger_mod.utc_now_iso(),
             program_hash=program_hash(program), wall_seconds=wall,
-            keep_interval_metrics=True, backend=backend)
+            keep_interval_metrics=True)
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     print(stats.summary())
@@ -455,41 +442,27 @@ def cmd_check(args):
         raise CliError(
             f"cannot read baseline {args.baseline!r}: {error}") from error
     matrix = sentry.MATRIX
-    want_sweep = False
     if args.entry:
         wanted = set(args.entry)
-        # The batch-sweep label is not a matrix entry: it pins the
-        # aggregate of the interleaved scalar/batch sweep measurement.
-        want_sweep = sentry.BATCH_SWEEP_LABEL in wanted
-        wanted.discard(sentry.BATCH_SWEEP_LABEL)
         known = {label for label, _, _ in sentry.MATRIX}
         unknown = sorted(wanted - known)
         if unknown:
-            valid = sorted(known) + [sentry.BATCH_SWEEP_LABEL]
             raise CliError(f"unknown matrix entr"
                            f"{'y' if len(unknown) == 1 else 'ies'} "
                            f"{', '.join(unknown)}; valid: "
-                           f"{', '.join(valid)}")
+                           f"{', '.join(sorted(known))}")
         matrix = [m for m in sentry.MATRIX if m[0] in wanted]
     tolerance = (args.tolerance if args.tolerance is not None
                  else sentry.DEFAULT_TOLERANCE)
-    measured = (sentry.measure(args.reps, matrix=matrix,
-                               backend=args.backend) if matrix else {})
-    sweep_measured = {}
-    if want_sweep:
-        # Interleaved sweep: asserts scalar/batch bit-identity itself;
-        # the pinned entry is the batch side's aggregate throughput.
-        _scalar_entry, batch_entry = sentry.measure_backends(args.reps)
-        sweep_measured = {sentry.BATCH_SWEEP_LABEL: batch_entry}
+    measured = sentry.measure(args.reps, matrix=matrix)
     cycle_failures, perf_failures = sentry.check_baseline(
-        {**measured, **sweep_measured}, baseline, tolerance=tolerance)
-    if not args.no_ledger and measured:
+        measured, baseline, tolerance=tolerance)
+    if not args.no_ledger:
         try:
             ledger_mod.RunLedger(args.ledger).append_all(
                 sentry.ledger_records(
                     measured, source="cli.check",
                     timestamp=ledger_mod.utc_now_iso(), matrix=matrix,
-                    backend=args.backend,
                     sweep_id=getattr(args, "sweep_id", None)))
         except OSError as error:
             print(f"repro: warning: could not append to run ledger: "
@@ -509,10 +482,7 @@ def cmd_check(args):
         return 1
     note = (f", {len(perf_failures)} advisory throughput warning(s)"
             if perf_failures else "")
-    checked = len(measured) + len(sweep_measured)
-    backend_note = ("" if args.backend == "scalar"
-                    else f" via {args.backend} backend")
-    print(f"repro check ok: {checked} entries{backend_note}, simulated "
+    print(f"repro check ok: {len(measured)} entries, simulated "
           f"cycle counts bit-identical to {args.baseline}{note}")
     return 0
 
@@ -568,7 +538,7 @@ def cmd_report(args):
             threads=tuple(args.threads) if args.threads else None,
             workers=args.workers, disk_cache=disk_cache,
             instrument=args.instrument, csv_path=args.csv,
-            backend=args.backend, sweep=args.sweep, telemetry=telemetry,
+            sweep=args.sweep, telemetry=telemetry,
             sweep_id=getattr(args, "sweep_id", None), client=client)
     except recoverable as error:
         message = error.args[0] if error.args else str(error)
@@ -634,7 +604,7 @@ def cmd_serve(args):
     service = JobService(
         workers=args.workers, queue_depth=args.queue_depth, rate=args.rate,
         burst=args.burst, timeout=args.timeout, retries=args.retries,
-        backoff=args.backoff, backend=args.backend, disk_cache=disk_cache,
+        backoff=args.backoff, disk_cache=disk_cache,
         ledger=ledger, sinks=sinks, allow_chaos=args.allow_chaos,
         heartbeat=args.heartbeat, metrics=metrics)
 
@@ -813,13 +783,6 @@ def build_parser():
                               "(stats, attribution, metrics) instead of "
                               "the text summary")
     p_stats.add_argument("--align", action="store_true")
-    p_stats.add_argument("--backend", default="scalar",
-                         choices=["scalar", "spec", "auto"],
-                         help="engine: 'spec' runs the config-"
-                              "specialized generated loop (bit-"
-                              "identical); 'auto' picks spec when its "
-                              "source is already cached — records "
-                              "always carry the backend that executed")
     _machine_args(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
@@ -852,18 +815,8 @@ def build_parser():
                               "only (shared/noisy runners); cycle-count "
                               "mismatches stay fatal")
     p_check.add_argument("--entry", action="append", metavar="LABEL",
-                         help="check only this matrix entry (repeatable); "
-                              "the batch-sweep label runs the interleaved "
-                              "scalar/batch sweep and pins its aggregate "
-                              "throughput instead")
-    p_check.add_argument("--backend", default="scalar",
-                         choices=["scalar", "batch", "spec"],
-                         help="simulation backend for the matrix: 'batch' "
-                              "routes every entry through a one-member "
-                              "BatchEngine group, 'spec' through the "
-                              "config-specialized generated engine — "
-                              "cycle counts must stay bit-identical to "
-                              "the committed baseline either way")
+                         help="check only this matrix entry "
+                              "(repeatable)")
     _ledger_args(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -885,13 +838,6 @@ def build_parser():
     p_report.add_argument("--instrument", action="store_true",
                           help="attach attribution + metrics to every "
                                "grid point (richer ledger records)")
-    p_report.add_argument("--backend", default="scalar",
-                          choices=["scalar", "batch", "spec", "auto"],
-                          help="grid backend: 'batch' advances same-"
-                               "program jobs in one fused BatchEngine "
-                               "loop, 'spec' runs config-specialized "
-                               "generated engines, 'auto' composes them "
-                               "(results are bit-identical)")
     p_report.add_argument("--fresh", action="store_true",
                           help="bypass the disk result cache")
     p_report.add_argument("--ledger", default=None, metavar="PATH",
@@ -957,9 +903,6 @@ def build_parser():
                          help="per-job retry budget (run_grid)")
     p_serve.add_argument("--backoff", type=float, default=0.25,
                          help="retry backoff base, seconds (run_grid)")
-    p_serve.add_argument("--backend", default="auto",
-                         choices=["scalar", "batch", "spec", "auto"],
-                         help="simulation backend for dispatched grids")
     p_serve.add_argument("--cache", default=None, metavar="PATH",
                          help="disk result cache (default: REPRO_CACHE or "
                               "~/.cache/repro-sdsp/results.json)")

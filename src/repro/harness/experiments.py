@@ -14,11 +14,6 @@ DEFAULT_THREADS = 4
 THREAD_RANGE = (1, 2, 3, 4, 5, 6)
 SU_DEPTHS = (32, 64, 128, 256)
 
-#: Thread counts swept by ``repro report --experiment threads`` — one
-#: wider than the paper's Figures 5-6 range, to show the post-peak
-#: deterioration continuing at 7-8 resident threads.
-REPORT_THREADS = (1, 2, 3, 4, 5, 6, 7, 8)
-
 #: ``repro report`` experiment name -> the EXPERIMENTS.md section the
 #: regenerated table corresponds to (kept in sync with that file's
 #: headings; see docs/OBSERVABILITY.md).

@@ -206,8 +206,7 @@ class SweepTraceCollector:
       ``started`` for attempts abandoned without a charged event, e.g.
       innocents requeued after a pool crash);
     * ``i`` (instant) annotations on lane 0's control track (tid 0):
-      ``queued``, ``cache-hit``, ``batched``, ``worker-crash``,
-      ``degraded-to-scalar``, ``heartbeat``.
+      ``queued``, ``cache-hit``, ``worker-crash``, ``heartbeat``.
 
     Timestamps are seconds since sweep start, written as microseconds.
     The output passes :func:`validate_trace` (CI gates on it).
@@ -275,8 +274,6 @@ class SweepTraceCollector:
             lane = self._claim()
             self._lanes_used.add(lane)
             name = event.workload or f"job {event.job}"
-            if data.get("batched"):
-                name = f"{name} [batch]"
             self._open[event.job] = (lane, ts, name,
                                      data.get("attempt", 1))
         elif kind in ("done", "failed", "retry", "timeout"):
@@ -288,13 +285,10 @@ class SweepTraceCollector:
                 if victim in self._open:
                     self._close(victim, ts, "worker-crash")
             self._instant("worker-crash", ts, {"victims": list(victims)})
-        elif kind in ("queued", "cache-hit", "batched",
-                      "degraded-to-scalar"):
+        elif kind in ("queued", "cache-hit"):
             args = {"job": event.job} if event.job is not None else {}
             if event.workload:
                 args["workload"] = event.workload
-            if kind == "degraded-to-scalar" and data.get("reason"):
-                args["reason"] = data["reason"]
             self._instant(kind, ts, args)
         elif kind == "heartbeat":
             self._instant("heartbeat", ts,

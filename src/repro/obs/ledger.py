@@ -161,8 +161,8 @@ def summarize_metrics(interval_metrics):
 def make_record(*, source, workload, config, stats, timestamp,
                 program_hash=None, checksum=None, verified=None,
                 wall_seconds=None, cached=False, engine_version=None,
-                keep_interval_metrics=False, backend="scalar",
-                sweep_id=None, request_id=None):
+                keep_interval_metrics=False, sweep_id=None,
+                request_id=None):
     """Build one ledger record (a plain JSON-serializable dict).
 
     ``stats`` is a :class:`~repro.core.stats.SimStats` or its
@@ -173,17 +173,10 @@ def make_record(*, source, workload, config, stats, timestamp,
     is caller-supplied (see :func:`utc_now_iso`); the record id is a
     content fingerprint over everything else.
 
-    ``backend`` names the engine path that produced the result:
-    ``"scalar"`` (one :meth:`PipelineSim.run`), ``"batch"`` (a
-    :class:`~repro.core.batch.BatchEngine` group), or ``"spec"`` (a
-    config-specialized generated engine, :mod:`repro.core.codegen`).
-    Always the backend that *executed* — an ``auto`` grid resolves to
-    the concrete route per job before anything is recorded. For batch
-    members,
-    ``wall_seconds`` must be the amortized per-member share of the
-    batch wall clock (the members ran interleaved; see
-    ``docs/PERFORMANCE.md``), which keeps the derived
-    ``cycles_per_sec`` a *per-member* rate, comparable across backends.
+    ``backend`` is always ``"scalar"``: every result comes from
+    :meth:`PipelineSim.run`. Records written by earlier versions may
+    say ``"batch"`` or ``"spec"`` (engines since removed, bit-identical
+    in cycles); they load and render like any other.
 
     ``sweep_id`` ties the record to the harness sweep that produced it
     (see :mod:`repro.obs.telemetry`); ``None`` for standalone runs and
@@ -224,7 +217,7 @@ def make_record(*, source, workload, config, stats, timestamp,
         "checksum": checksum,
         "verified": verified,
         "cached": bool(cached),
-        "backend": backend,
+        "backend": "scalar",
         "sweep_id": sweep_id,
         "request_id": request_id,
     }
@@ -307,8 +300,8 @@ class RunLedger:
                     field not in record for field in REQUIRED_FIELDS):
                 skipped += 1
                 continue
-            # Records written before the batch backend existed carry no
-            # backend field; everything they measured was scalar.
+            # Records written before the backend field existed measured
+            # the scalar engine.
             record.setdefault("backend", "scalar")
             # Pre-telemetry records belong to no sweep.
             record.setdefault("sweep_id", None)

@@ -17,7 +17,7 @@ Two consumers of :mod:`repro.obs.ledger` records:
 
 from repro.core import FetchPolicy, MachineConfig
 from repro.harness.experiments import (DEFAULT_THREADS, FIGURE_INDEX,
-                                       REPORT_THREADS, SU_DEPTHS)
+                                       SU_DEPTHS, THREAD_RANGE)
 from repro.harness.tables import format_table
 from repro.mem.cache import CacheConfig
 from repro.obs.attribution import CATEGORIES
@@ -127,7 +127,7 @@ def build_experiment(name, workloads=None, threads=None):
         workloads = [w.name for w in ALL_WORKLOADS]
     jobs = []
     if name == "threads":
-        threads = tuple(threads or REPORT_THREADS)
+        threads = tuple(threads or THREAD_RANGE)
         columns = [f"{n}T" for n in threads]
         for wname in workloads:
             for n in threads:
@@ -218,8 +218,8 @@ def _run_via_service(client, jobs, *, instrument=False, sweep_id=None):
 
 def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
                disk_cache=None, instrument=False, timestamp=None,
-               csv_path=None, backend="scalar", sweep=None, telemetry=None,
-               progress=None, sweep_id=None, client=None):
+               csv_path=None, sweep=None, telemetry=None, progress=None,
+               sweep_id=None, client=None):
     """Run one experiment grid and render its table from the ledger.
 
     The grid goes through :func:`run_grid` with ``ledger=`` attached,
@@ -227,9 +227,7 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
     built from :meth:`RunLedger.latest_by_key` — *not* from the
     in-memory results — which is the property the regression acceptance
     test pins. Returns the rendered text; writes ``csv_path`` when
-    given. ``backend`` is forwarded to :func:`run_grid` — the batch
-    and spec backends change only wall-clock cost, never a single
-    table cell.
+    given.
 
     ``sweep`` renders the table from the ledger records of an already
     *finished* sweep (no simulation happens); ``telemetry``, ``progress``
@@ -240,7 +238,7 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
     grid through a running ``repro serve`` instead of a local
     ``run_grid`` — ``repro report --service URL``. The table still
     renders from ``ledger``, which must be the server's ledger file;
-    ``workers``/``backend``/``disk_cache`` are then the *server's*
+    ``workers``/``disk_cache`` are then the *server's*
     choices and the local values are ignored.
     """
     from repro.harness.parallel import run_grid
@@ -256,7 +254,7 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
         else:
             run_grid([(wname, config) for wname, config, _ in jobs],
                      workers=workers, disk_cache=disk_cache,
-                     instrument=instrument, backend=backend, ledger=ledger,
+                     instrument=instrument, ledger=ledger,
                      ledger_timestamp=timestamp, strict=True,
                      telemetry=telemetry, progress=progress,
                      sweep_id=sweep_id)

@@ -67,38 +67,6 @@ MATRIX = [
 ]
 
 
-#: Label under which the batch-backend sweep is pinned in
-#: ``BENCH_engine.json``'s ``cycles`` / ``cycles_per_sec`` maps.
-#: Aggregate numbers: the sum of the sweep's simulated cycles, and that
-#: sum over the sweep's wall clock.
-BATCH_SWEEP_LABEL = "batch:LL2-2t-sweep8"
-
-#: Workload every batch-sweep member simulates.
-BATCH_SWEEP_WORKLOAD = "LL2"
-
-#: The batch-backend sweep: one workload, eight two-thread
-#: configurations — the shape of every paper experiment (SU depths,
-#: cache pressure, fetch policies, bypassing) — run as one same-program
-#: group. Keep in sync with the committed ``BENCH_engine.json``.
-BATCH_SWEEP = [
-    dict(nthreads=2, su_entries=32),
-    dict(nthreads=2),
-    dict(nthreads=2, su_entries=128),
-    dict(nthreads=2,
-         cache=CacheConfig(size_bytes=256, assoc=1, miss_penalty=64)),
-    dict(nthreads=2, cache=CacheConfig(size_bytes=128, line_words=4,
-                                       assoc=1, miss_penalty=96)),
-    dict(nthreads=2, fetch_policy="icount"),
-    dict(nthreads=2, fetch_policy="masked_rr"),
-    dict(nthreads=2, bypassing=False),
-]
-
-
-def batch_sweep_configs():
-    """Fresh :class:`MachineConfig` list for the batch-backend sweep."""
-    return [MachineConfig(**kwargs) for kwargs in BATCH_SWEEP]
-
-
 def matrix_configs(matrix=None):
     """``{label: (workload_name, MachineConfig)}`` for ``matrix``."""
     return {label: (wname, MachineConfig(**kwargs))
@@ -109,29 +77,11 @@ def _null_sink(event):
     """Cheapest possible event consumer, for overhead measurement."""
 
 
-def _run_once(program, config, instrument, backend):
-    """One simulation of ``program`` under ``config`` via ``backend``.
-
-    The scalar backend is a plain :class:`PipelineSim` run (with the
-    full observability load, null event sink included, when
-    instrumented); the batch backend wraps the same simulation in a
-    one-member :class:`~repro.core.batch.BatchEngine` group, and the
-    spec backend runs the config-specialized generated engine
-    (:mod:`repro.core.codegen`) — so ``repro check --backend
-    batch|spec`` pins the whole golden matrix through those loops.
-    Cycle counts must be identical every way.
-    """
-    if backend == "batch":
-        from repro.core.batch import run_batch
-        outcome = run_batch(program, [config], instrument=instrument)[0]
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.stats
-    if backend == "spec":
-        from repro.core.codegen import spec_engine_class
-        sim = spec_engine_class(config)(program, config)
-    else:
-        sim = PipelineSim(program, config)
+def _run_once(program, config, instrument):
+    """One :class:`PipelineSim` run of ``program`` under ``config``,
+    carrying the full observability load (null event sink included)
+    when instrumented."""
+    sim = PipelineSim(program, config)
     if instrument:
         sim.attach_attribution()
         sim.attach_metrics()
@@ -139,7 +89,7 @@ def _run_once(program, config, instrument, backend):
     return sim.run()
 
 
-def measure(reps=3, instrument=False, matrix=None, backend="scalar"):
+def measure(reps=3, instrument=False, matrix=None):
     """Best-of-``reps`` cycles/sec for every matrix entry.
 
     Returns ``{label: entry}`` where each entry carries ``cycles``,
@@ -147,34 +97,22 @@ def measure(reps=3, instrument=False, matrix=None, backend="scalar"):
     final rep's full ``stats`` dict (for ledger records).
 
     With ``instrument=True``, every run carries the full observability
-    load: stall attribution, interval metrics, and (scalar backend
-    only) an event-bus sink that discards events — the worst realistic
-    case for hot-loop overhead. Cycle counts must match the
-    uninstrumented engine exactly; only wall-clock throughput may
-    differ.
-
-    ``backend="batch"`` routes every run through a one-member
-    :class:`~repro.core.batch.BatchEngine` group instead of a plain
-    :class:`PipelineSim` — the regression gate's way of pinning the
-    golden matrix's cycle counts through the batch advance loop.
-    ``backend="spec"`` runs the config-specialized generated engine
-    (:mod:`repro.core.codegen`), pinning the generated loops the same
-    way.
+    load: stall attribution, interval metrics, and an event-bus sink
+    that discards events — the worst realistic case for hot-loop
+    overhead. Cycle counts must match the uninstrumented engine
+    exactly; only wall-clock throughput may differ.
     """
-    if backend not in ("scalar", "batch", "spec"):
-        raise ValueError(f"unknown backend {backend!r}; expected "
-                         f"'scalar', 'batch', or 'spec'")
     out = {}
     for label, wname, kwargs in (matrix or MATRIX):
         config = MachineConfig(**kwargs)
         program = by_name(wname).program(config.nthreads)
-        _run_once(program, config, False, backend)  # warm-up, untimed
+        _run_once(program, config, False)  # warm-up, untimed
         best = 0.0
         best_elapsed = None
         stats = None
         for _ in range(reps):
             start = time.perf_counter()
-            stats = _run_once(program, config, instrument, backend)
+            stats = _run_once(program, config, instrument)
             elapsed = time.perf_counter() - start
             rate = stats.cycles / elapsed
             if rate > best:
@@ -187,106 +125,6 @@ def measure(reps=3, instrument=False, matrix=None, backend="scalar"):
             "stats": stats.to_dict(),
         }
     return out
-
-
-def measure_backends(reps=3):
-    """Drift-resistant scalar-vs-batch sweep throughput measurement.
-
-    Runs the fixed single-workload eight-configuration sweep
-    (:data:`BATCH_SWEEP`) through ``run_grid(workers=1, backend=...)``
-    with the timed reps *interleaved* — scalar, batch, scalar, batch —
-    so host speed drift lands on both sides (the
-    :func:`measure_overhead` methodology), and asserts the two backends
-    return bit-identical per-member stats on every rep. Returns
-    ``(scalar_entry, batch_entry)``: each carries the aggregate
-    ``cycles`` (sum over the sweep — identical on both sides by
-    construction), best-of-reps aggregate ``cycles_per_sec`` (sweep
-    cycles over sweep wall clock), and that rep's ``wall_seconds``.
-    """
-    from repro.harness.parallel import run_grid
-
-    jobs = [(BATCH_SWEEP_WORKLOAD, config)
-            for config in batch_sweep_configs()]
-    run_grid(jobs, workers=1)  # warm the decode cache, untimed
-    best = {"scalar": 0.0, "batch": 0.0}
-    best_elapsed = {"scalar": None, "batch": None}
-    cycles = None
-    for _ in range(reps):
-        rep_stats = {}
-        for backend in ("scalar", "batch"):
-            start = time.perf_counter()
-            results = run_grid(jobs, workers=1, backend=backend)
-            elapsed = time.perf_counter() - start
-            bad = [r for r in results if not r.ok]
-            if bad:
-                raise AssertionError(
-                    f"{backend} sweep failed: {bad}")
-            rep_stats[backend] = [r.stats.to_dict() for r in results]
-            cycles = sum(r.stats.cycles for r in results)
-            rate = cycles / elapsed
-            if rate > best[backend]:
-                best[backend] = rate
-                best_elapsed[backend] = elapsed
-        if rep_stats["scalar"] != rep_stats["batch"]:
-            raise AssertionError(
-                "batch backend diverged from scalar on the sweep — "
-                "simulated stats must be bit-identical")
-    scalar_entry, batch_entry = ({
-        "cycles": cycles,
-        "cycles_per_sec": round(best[backend]),
-        "wall_seconds": best_elapsed[backend],
-    } for backend in ("scalar", "batch"))
-    return scalar_entry, batch_entry
-
-
-def measure_spec(reps=3, matrix=None):
-    """Drift-resistant interpreter-vs-spec throughput measurement.
-
-    Interleaves the timed reps per matrix entry — scalar, spec, scalar,
-    spec — so host speed drift lands on both sides (the
-    :func:`measure_overhead` methodology), and asserts the two engines
-    return bit-identical stats on every rep. Returns
-    ``(measured_scalar, measured_spec)`` in the :func:`measure` format;
-    ``tools/perf_profile.py`` folds the per-label ratios into the
-    ``spec_over_scalar`` geomean stamped in ``BENCH_engine.json``.
-    """
-    from repro.core.codegen import spec_engine_class
-
-    out_scalar = {}
-    out_spec = {}
-    for label, wname, kwargs in (matrix or MATRIX):
-        config = MachineConfig(**kwargs)
-        program = by_name(wname).program(config.nthreads)
-        engines = {"scalar": PipelineSim, "spec": spec_engine_class(config)}
-        engines["spec"](program, config).run()  # warm-up (codegen, caches)
-        PipelineSim(program, config).run()
-        best = {"scalar": 0.0, "spec": 0.0}
-        best_elapsed = {"scalar": None, "spec": None}
-        stats = {"scalar": None, "spec": None}
-        for _ in range(reps):
-            for backend in ("scalar", "spec"):
-                sim = engines[backend](program, config)
-                start = time.perf_counter()
-                run_stats = sim.run()
-                elapsed = time.perf_counter() - start
-                stats[backend] = run_stats
-                rate = run_stats.cycles / elapsed
-                if rate > best[backend]:
-                    best[backend] = rate
-                    best_elapsed[backend] = elapsed
-            if stats["scalar"].to_dict() != stats["spec"].to_dict():
-                raise AssertionError(
-                    f"{label}: spec backend diverged from the interpreter "
-                    f"— simulated stats must be bit-identical")
-        for backend, out in (("scalar", out_scalar), ("spec", out_spec)):
-            run_stats = stats[backend]
-            out[label] = {
-                "cycles": run_stats.cycles,
-                "cycles_per_sec": round(best[backend]),
-                "wall_seconds": best_elapsed[backend],
-                "stats": run_stats.to_dict(),
-            }
-    return out_scalar, out_spec
 
 
 def measure_overhead(reps=3, matrix=None):
@@ -369,7 +207,7 @@ def check_baseline(measured, baseline, tolerance=DEFAULT_TOLERANCE):
 
 
 def ledger_records(measured, *, source, timestamp, matrix=None,
-                   backend="scalar", sweep_id=None):
+                   sweep_id=None):
     """Ledger records for a :func:`measure` result, sorted by label.
 
     Sorted so two runs of the same matrix append in the same order —
@@ -386,6 +224,5 @@ def ledger_records(measured, *, source, timestamp, matrix=None,
         records.append(ledger_mod.make_record(
             source=source, workload=wname, config=config,
             stats=entry["stats"], timestamp=timestamp,
-            wall_seconds=entry["wall_seconds"], backend=backend,
-            sweep_id=sweep_id))
+            wall_seconds=entry["wall_seconds"], sweep_id=sweep_id))
     return records

@@ -15,15 +15,13 @@ in the harness is a bare ``is None`` predicate (enforced by
 Event taxonomy (see ``docs/OBSERVABILITY.md`` for the full contract):
 
 ===================  ==================================================
-``sweep-start``      the grid was resolved; carries totals and backend
+``sweep-start``      the grid was resolved; carries totals
 ``queued``           one job entered the sweep (every job, exactly once)
 ``cache-hit``        terminal: answered from the disk result cache
-``batched``          a same-program batch group was formed
 ``started``          one job attempt was handed to a worker
 ``retry``            a charged attempt failed and the job was requeued
 ``timeout``          a running attempt exceeded the per-job wall clock
 ``worker-crash``     the process pool broke; carries the victim jobs
-``degraded-to-scalar``  a batch member left its group to run scalar
 ``done``             terminal: the job completed (cycles, wall time)
 ``failed``           terminal: the job was unrecoverable
 ``heartbeat``        periodic worker/queue pulse with a metrics snapshot
@@ -68,9 +66,8 @@ SCHEMA_VERSION = 1
 
 #: Every event kind, in rough lifecycle order.
 LIFECYCLE_KINDS = (
-    "sweep-start", "queued", "cache-hit", "batched", "started", "retry",
-    "timeout", "worker-crash", "degraded-to-scalar", "done", "failed",
-    "heartbeat", "sweep-end",
+    "sweep-start", "queued", "cache-hit", "started", "retry", "timeout",
+    "worker-crash", "done", "failed", "heartbeat", "sweep-end",
 )
 
 #: Kinds that terminate a job: each job gets exactly one of these.
@@ -142,8 +139,7 @@ class SweepMetrics:
     """
 
     __slots__ = ("total", "workers", "queued_events", "cache_hits", "done",
-                 "failed", "retries", "timeouts", "crashes", "batches",
-                 "batched_jobs", "degraded", "backends", "running",
+                 "failed", "retries", "timeouts", "crashes", "running",
                  "wall_done", "elapsed")
 
     def __init__(self):
@@ -156,10 +152,6 @@ class SweepMetrics:
         self.retries = 0
         self.timeouts = 0
         self.crashes = 0        # pool breakages (worker-crash events)
-        self.batches = 0
-        self.batched_jobs = 0
-        self.degraded = 0       # members demoted batch -> scalar
-        self.backends = {}      # backend -> completed-job count
         self.running = set()    # job indices with an open attempt
         self.wall_done = 0.0    # summed wall_seconds of done jobs
         self.elapsed = 0.0      # t of the latest event
@@ -177,9 +169,6 @@ class SweepMetrics:
             self.queued_events += 1
         elif kind == "cache-hit":
             self.cache_hits += 1
-        elif kind == "batched":
-            self.batches += 1
-            self.batched_jobs += data.get("size") or 0
         elif kind == "started":
             self.running.add(event.job)
         elif kind == "retry":
@@ -192,14 +181,9 @@ class SweepMetrics:
             self.crashes += 1
             for victim in data.get("victims") or ():
                 self.running.discard(victim)
-        elif kind == "degraded-to-scalar":
-            self.degraded += 1
-            self.running.discard(event.job)
         elif kind == "done":
             self.done += 1
             self.running.discard(event.job)
-            backend = data.get("backend") or "scalar"
-            self.backends[backend] = self.backends.get(backend, 0) + 1
             wall = data.get("wall_seconds")
             if wall:
                 self.wall_done += wall
@@ -261,10 +245,6 @@ class SweepMetrics:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.crashes,
-            "batches": self.batches,
-            "batched_jobs": self.batched_jobs,
-            "degraded_to_scalar": self.degraded,
-            "backends": dict(sorted(self.backends.items())),
             "running": len(self.running),
             "elapsed": round(self.elapsed, 6),
             "jobs_per_sec": round(rate, 4) if rate is not None else None,
@@ -337,9 +317,9 @@ class SweepTelemetry:
 
     # --------------------------------------------------- lifecycle hooks
 
-    def sweep_start(self, total, workers=None, backend="scalar"):
+    def sweep_start(self, total, workers=None):
         return self._emit("sweep-start", total=total, workers=workers,
-                          backend=backend, schema=SCHEMA_VERSION)
+                          schema=SCHEMA_VERSION)
 
     def job_queued(self, index, workload, fingerprint=None):
         return self._emit("queued", job=index, workload=workload,
@@ -348,13 +328,9 @@ class SweepTelemetry:
     def cache_hit(self, index, workload):
         return self._emit("cache-hit", job=index, workload=workload)
 
-    def batch_formed(self, indices, workload):
-        return self._emit("batched", workload=workload,
-                          members=list(indices), size=len(indices))
-
-    def job_started(self, index, workload, attempt, batched=False):
+    def job_started(self, index, workload, attempt):
         return self._emit("started", job=index, workload=workload,
-                          attempt=attempt, batched=batched)
+                          attempt=attempt)
 
     def job_retry(self, index, workload, kind, attempt, delay):
         return self._emit("retry", job=index, workload=workload, kind=kind,
@@ -367,15 +343,11 @@ class SweepTelemetry:
     def worker_crash(self, victims):
         return self._emit("worker-crash", victims=sorted(victims))
 
-    def degraded_to_scalar(self, index, workload, reason):
-        return self._emit("degraded-to-scalar", job=index,
-                          workload=workload, reason=reason)
-
     def job_done(self, index, workload, cycles=None, wall_seconds=None,
-                 backend="scalar", attempts=1):
+                 attempts=1):
         return self._emit("done", job=index, workload=workload,
                           cycles=cycles, wall_seconds=wall_seconds,
-                          backend=backend, attempts=attempts)
+                          attempts=attempts)
 
     def job_failed(self, index, workload, kind, attempts, message):
         return self._emit("failed", job=index, workload=workload, kind=kind,
@@ -515,7 +487,7 @@ def summarize(events):
     """Fold an event log into accounting: metrics, per-job lifecycles,
     and invariant violations.
 
-    Returns a dict with ``sweep_ids``, ``backend``, ``metrics`` (a
+    Returns a dict with ``sweep_ids``, ``metrics`` (a
     replayed :class:`SweepMetrics`), ``jobs`` (index -> ordered event
     dicts), ``cache`` (the ``sweep-end`` disk-cache counters, if any),
     and ``violations`` — human-readable strings for every job that does
@@ -524,7 +496,6 @@ def summarize(events):
     metrics = SweepMetrics()
     jobs = {}
     sweep_ids = []
-    backend = None
     cache = None
     for record in events:
         event = SweepEvent.from_dict(record)
@@ -533,9 +504,7 @@ def summarize(events):
             sweep_ids.append(event.sweep_id)
         if event.job is not None:
             jobs.setdefault(event.job, []).append(record)
-        if event.kind == "sweep-start":
-            backend = (event.data or {}).get("backend")
-        elif event.kind == "sweep-end":
+        if event.kind == "sweep-end":
             cache = (event.data or {}).get("cache")
     violations = []
     for index in sorted(jobs):
@@ -554,7 +523,7 @@ def summarize(events):
         violations.append(
             f"sweep-start announced {metrics.total} jobs but the log "
             f"covers {len(jobs)}")
-    return {"sweep_ids": sweep_ids, "backend": backend, "metrics": metrics,
+    return {"sweep_ids": sweep_ids, "metrics": metrics,
             "jobs": jobs, "cache": cache, "violations": violations}
 
 
@@ -612,9 +581,7 @@ def render_summary(events, waterfall=False, show_failures=True):
     metrics = summary["metrics"]
     snapshot = metrics.to_dict()
     sweeps = ", ".join(summary["sweep_ids"]) or "?"
-    lines = [f"# repro sweep — sweep {sweeps}"
-             + (f" [{summary['backend']} backend]"
-                if summary["backend"] else ""),
+    lines = [f"# repro sweep — sweep {sweeps}",
              f"# {len(events)} events, {len(summary['jobs'])} jobs, "
              f"{snapshot['elapsed']:.3f}s elapsed"]
     rate = snapshot["jobs_per_sec"]
@@ -624,17 +591,9 @@ def render_summary(events, waterfall=False, show_failures=True):
     rows = [["done", metrics.done], ["failed", metrics.failed],
             ["cache-hit", metrics.cache_hits],
             ["retries", metrics.retries], ["timeouts", metrics.timeouts],
-            ["worker-crashes", metrics.crashes],
-            ["batches", metrics.batches],
-            ["batched jobs", metrics.batched_jobs],
-            ["degraded-to-scalar", metrics.degraded]]
+            ["worker-crashes", metrics.crashes]]
     lines.append(format_table("lifecycle accounting", ["event", "count"],
                               rows))
-    if metrics.backends:
-        lines.append("")
-        lines.append(format_table(
-            "backend mix (completed jobs)", ["backend", "jobs"],
-            sorted(metrics.backends.items())))
     cache = summary["cache"]
     if cache:
         lines.append("")

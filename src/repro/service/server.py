@@ -6,8 +6,8 @@
 existing fault-tolerant :func:`repro.harness.parallel.run_grid` event
 loop from a single background dispatcher thread — so every recovery
 path the harness already proves (timeouts, bounded retries,
-``BrokenProcessPool`` culprit isolation, batch degradation,
-incremental disk-cache persistence) serves remote clients unchanged,
+``BrokenProcessPool`` culprit isolation, incremental disk-cache
+persistence) serves remote clients unchanged,
 and served results are bit-identical to a direct ``run_grid`` call.
 
 **One server-lifetime telemetry stream.** The service emits through a
@@ -95,11 +95,6 @@ class _DispatchRelay:
                        for victim in data.get("victims") or ()
                        if victim in self.index_map]
             data["victims"] = sorted(entry.index for entry in targets)
-        elif event.kind == "batched":
-            targets = [self.index_map[member]
-                       for member in data.get("members") or ()
-                       if member in self.index_map]
-            data["members"] = sorted(entry.index for entry in targets)
         record = self.service._emit(event.kind, job=job,
                                     workload=event.workload, **data)
         for entry in targets:
@@ -196,13 +191,8 @@ class JobService:
     """Thread-safe job service over :func:`run_grid`.
 
     Parameters mirror ``run_grid`` where they share meaning
-    (``workers``, ``timeout``, ``retries``, ``backoff``, ``backend``,
-    ``verify``). ``backend`` accepts every ``run_grid`` value —
-    ``"auto"`` (the default) composes batch and spec per dispatch, and
-    worker processes of every dispatch share one on-disk codegen cache
-    (:mod:`repro.harness.codecache`), so a fleet pays source generation
-    once per config shape for the server's lifetime and beyond. The
-    rest configure the service envelope:
+    (``workers``, ``timeout``, ``retries``, ``backoff``, ``verify``).
+    The rest configure the service envelope:
     ``queue_depth``/``rate``/``burst`` the admission controller,
     ``disk_cache``/``ledger`` the durable layers, ``sinks`` the
     server-lifetime telemetry sinks, ``allow_chaos`` the over-the-wire
@@ -218,7 +208,7 @@ class JobService:
 
     def __init__(self, *, workers=None, queue_depth=64, rate=None,
                  burst=None, timeout=None, retries=2, backoff=0.25,
-                 backend="auto", verify=True, disk_cache=None, ledger=None,
+                 verify=True, disk_cache=None, ledger=None,
                  sinks=(), allow_chaos=False, heartbeat=2.0,
                  clock=time.monotonic, metrics=None):
         from repro.harness.diskcache import DiskResultCache
@@ -232,7 +222,6 @@ class JobService:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.backend = backend
         self.verify = verify
         self.disk_cache = disk_cache
         self.ledger = ledger
@@ -274,8 +263,7 @@ class JobService:
         if self.started:
             return self
         self.started = True
-        self._emit("sweep-start", total=0, workers=self.workers,
-                   backend=self.backend)
+        self._emit("sweep-start", total=0, workers=self.workers)
         self._thread = threading.Thread(target=self._dispatch_loop,
                                         name="repro-serve-dispatch",
                                         daemon=True)
@@ -387,7 +375,6 @@ class JobService:
         return {
             "sweep_id": self.hub.sweep_id,
             "workers": self.workers,
-            "backend": self.backend,
             "started": self.started,
             "drained": self.drained,
             "dispatcher_alive": bool(self._thread is not None
@@ -531,9 +518,8 @@ class JobService:
             results = run_grid(
                 jobs, workers=self.workers, verify=self.verify,
                 disk_cache=self.disk_cache, aligned=aligned,
-                instrument=instrument, backend=self.backend,
-                timeout=self.timeout, retries=self.retries,
-                backoff=self.backoff, strict=False,
+                instrument=instrument, timeout=self.timeout,
+                retries=self.retries, backoff=self.backoff, strict=False,
                 fault_plan=self._chaos_plan(entries),
                 ledger=self.ledger, telemetry=inner, sweep_id=sweep_id,
                 request_ids=request_ids or None)

@@ -227,6 +227,16 @@ def test_report_cli_end_to_end(tmp_path, capsys):
     assert csv.read_text().startswith("benchmark,1T,2T")
 
 
+def test_report_unbuildable_program_exits_2_with_one_line(capsys):
+    # LL7 does not compile for 8 threads: one line on stderr, exit 2.
+    assert main(["report", "--experiment", "threads",
+                 "--workloads", "LL7", "--threads", "8",
+                 "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "LL7" in err and "after 1 attempt(s)" in err
+
+
 def test_report_unknown_workload_exits_2(capsys):
     assert main(["report", "--experiment", "threads",
                  "--workloads", "Bogus", "--threads", "1"]) == 2

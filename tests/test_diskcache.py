@@ -205,6 +205,24 @@ def test_runner_disk_cache_skips_simulation(tmp_path, monkeypatch):
     assert replayed.stats.to_dict() == baseline.stats.to_dict()
 
 
+def test_runner_replays_payloads_with_legacy_backend_field(tmp_path):
+    # Payloads written by the removed batch/spec engines carry a
+    # "backend" field; they replay like any other (same cycle counts,
+    # same ENGINE_VERSION, so the same keys).
+    workload = by_name("LL5")
+    config = MachineConfig(nthreads=1)
+    cache_path = tmp_path / "results.json"
+    fresh = Runner(disk_cache=cache_path).run(workload, config)
+    document = json.loads(cache_path.read_text())
+    for entry in document["entries"].values():
+        assert "backend" not in entry["payload"]
+        entry["payload"]["backend"] = "batch"
+    cache_path.write_text(json.dumps(document))
+    replay = Runner(disk_cache=cache_path).run(workload, config)
+    assert replay.stats.to_dict() == fresh.stats.to_dict()
+    assert replay.checksum == fresh.checksum
+
+
 def test_config_key_covers_mem_words():
     base = MachineConfig()
     assert _config_key(base) != _config_key(base.replace(mem_words=1 << 16))

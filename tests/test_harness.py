@@ -151,3 +151,17 @@ def test_series_table_scaling():
     series = {"A": {"w": 2000}, "B": {"w": 1000}}
     text = series_table("T", series, scale=1000.0)
     assert "2.000" in text and "1.000" in text
+
+
+def test_decoded_program_is_cached_and_prebuilt():
+    from repro.harness.runner import decoded_program, program_hash
+    from repro.workloads import by_name
+
+    workload = by_name("LL2")
+    program_a, hash_a = decoded_program(workload, 2)
+    program_b, hash_b = decoded_program(workload, 2)
+    assert program_a is program_b
+    assert hash_a == hash_b == program_hash(program_a)
+    # Execution closures were prebuilt for the ALU/FP instructions.
+    assert any(getattr(instr, "_exec", None) is not None
+               for instr in program_a.instructions)

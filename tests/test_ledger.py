@@ -160,6 +160,25 @@ def test_latest_by_key_keeps_newest(tmp_path):
     assert by_threads == {1: 2, 2: 3}
 
 
+def test_legacy_backend_records_load_and_render(tmp_path):
+    # New records always say "scalar". Records from before the field
+    # existed default to it, and records from the removed batch/spec
+    # engines keep their value and still render.
+    from repro.obs.report import render_diff
+
+    record = _record(cycles=10)
+    assert record["backend"] == "scalar"
+    legacy = [dict(record, backend=name) for name in ("batch", "spec")]
+    bare = dict(record)
+    bare.pop("backend")
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in legacy + [bare]))
+    loaded = RunLedger(path).records()
+    assert [r["backend"] for r in loaded] == ["batch", "spec", "scalar"]
+    assert "cycles" in render_diff(loaded[0], loaded[1])
+
+
 # ----------------------------------------------------- run_grid integration
 
 def test_run_grid_appends_deterministic_order(tmp_path):

@@ -99,6 +99,32 @@ def test_run_grid_strict_raises_grid_error():
     assert error.results[0].ok  # completed work still reachable
 
 
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["no-cache", "disk-cache"])
+def test_unbuildable_program_fails_only_its_own_job_once(tmp_path, cached):
+    # LL7 runs out of registers in an 8-way partition: a CompileError is
+    # deterministic, so its job fails once and the rest of the grid runs,
+    # whether the error surfaces in a worker or in the cache-key build.
+    from repro.obs.telemetry import SweepTelemetry, summarize
+
+    events = []
+    hub = SweepTelemetry(sinks=[lambda event: events.append(event.to_dict())],
+                         heartbeat=1e9)
+    results = run_grid(
+        [("LL7", MachineConfig(nthreads=8)), ("LL5", MachineConfig())],
+        workers=2, backoff=0.0, telemetry=hub,
+        disk_cache=tmp_path / "cache.json" if cached else None)
+    failure, ok = results
+    assert isinstance(failure, JobFailure)
+    assert failure.kind == "exception" and failure.attempts == 1
+    assert "out of registers" in failure.message
+    assert ok.ok and ok.verified
+    kinds = [e["event"] for e in events if e.get("job") == 0]
+    assert kinds[0] == "queued" and kinds[-1] == "failed"
+    assert "retry" not in kinds
+    assert not summarize(events)["violations"]
+
+
 def test_run_grid_rejects_invalid_config_up_front():
     with pytest.raises(ValueError, match="invalid MachineConfig"):
         run_grid([(by_name("LL2"), MachineConfig(nthreads=0))], workers=1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.harness.experiments import FIGURE_INDEX
 from repro.obs.ledger import RunLedger, make_record
 from repro.obs.report import build_experiment, render_diff, run_report
 
@@ -80,6 +81,20 @@ def test_build_experiment_fetch_has_base_case():
     assert columns == ["TrueRR", "MaskedRR", "CSwitch", "BaseCase"]
     base = [c for _, c, label in jobs if label == "BaseCase"]
     assert len(base) == 1 and base[0].nthreads == 1
+
+
+def test_default_experiment_grids_compile():
+    # Every program a default report grid asks for must build; checked
+    # by compiling, with no simulation. The threads report defaults to
+    # the paper's 1-6 thread range.
+    from repro.workloads import by_name
+
+    for name in FIGURE_INDEX:
+        _, _, columns, jobs = build_experiment(name)
+        if name == "threads":
+            assert columns == [f"{n}T" for n in range(1, 7)]
+        for wname, nthreads in {(w, c.nthreads) for w, c, _ in jobs}:
+            by_name(wname).program(nthreads)
 
 
 def test_build_experiment_unknown_name():

@@ -7,8 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.faults import perturb_cycles
-from repro.obs.sentry import (BATCH_SWEEP_LABEL, DEFAULT_TOLERANCE, MATRIX,
-                              check_baseline, matrix_configs)
+from repro.obs.sentry import (DEFAULT_TOLERANCE, MATRIX, check_baseline,
+                              matrix_configs)
 
 BENCH = "BENCH_engine.json"
 
@@ -69,11 +69,8 @@ def test_check_baseline_ignores_labels_missing_from_baseline():
 def test_matrix_labels_match_committed_baseline():
     bench = json.loads(open(BENCH).read())
     labels = {label for label, _, _ in MATRIX}
-    # The batch-backend sweep pins its aggregate in the same maps under
-    # its own label (see docs/PERFORMANCE.md, "Batch backend").
-    pinned = labels | {BATCH_SWEEP_LABEL}
-    assert pinned == set(bench["cycles"])
-    assert pinned == set(bench["cycles_per_sec"])
+    assert labels == set(bench["cycles"])
+    assert labels == set(bench["cycles_per_sec"])
     assert set(matrix_configs()) == labels
 
 

@@ -5,7 +5,7 @@ Pins the accounting invariant — every job gets exactly one ``queued``
 and exactly one terminal event, reconciling with the returned results,
 the :class:`JobFailure` records, and the ledger — under the same fault
 injectors ``tests/test_faults.py`` uses, plus the exact lifecycle
-sequences for the retry/timeout/crash/batch recovery paths, the
+sequences for the retry/timeout/crash recovery paths, the
 Perfetto sweep-timeline export, sweep-scoped ledger queries, and the
 requirement that attaching telemetry never changes a cycle count.
 """
@@ -111,13 +111,13 @@ def test_new_sweep_ids_are_short_and_unique():
 def test_metrics_fold_and_derived_views():
     clock = FakeClock()
     hub = _hub(sweep_id="s", clock=clock)
-    hub.sweep_start(total=4, workers=2, backend="scalar")
+    hub.sweep_start(total=4, workers=2)
     for index in range(4):
         hub.job_queued(index, "LL5")
     hub.cache_hit(0, "LL5")
     clock.advance(1.0)
     hub.job_started(1, "LL5", attempt=1)
-    hub.job_done(1, "LL5", cycles=100, wall_seconds=2.0, backend="scalar")
+    hub.job_done(1, "LL5", cycles=100, wall_seconds=2.0)
     hub.job_started(2, "LL5", attempt=1)
     m = hub.metrics
     assert m.total == 4 and m.workers == 2
@@ -129,7 +129,6 @@ def test_metrics_fold_and_derived_views():
     # ETA from mean wall of done jobs over the worker width.
     assert m.eta_seconds() == pytest.approx(2 * 2.0 / 2)
     snapshot = m.to_dict()
-    assert snapshot["backends"] == {"scalar": 1}
     assert snapshot["running"] == 1
     assert snapshot["eta_seconds"] == pytest.approx(2.0)
 
@@ -184,7 +183,7 @@ def test_inline_grid_emits_exact_happy_path_sequence():
         "sweep-start", "queued", "queued", "started", "done",
         "started", "done", "sweep-end"]
     start = cap.events[0]
-    assert start["total"] == 2 and start["backend"] == "scalar"
+    assert start["total"] == 2
     assert start["schema"] == 1 and start["workers"] == 1
     done = cap.of("done")
     assert [r["job"] for r in done] == [0, 1]
@@ -288,31 +287,45 @@ def test_cache_hits_are_terminal_and_sweep_end_carries_counters(tmp_path):
     _reconcile(cap, results)
 
 
-def test_batch_degrade_emits_scalar_fallback_sequence():
-    config = MachineConfig(nthreads=1)
-    jobs = [(by_name("LL5"), config.replace(su_entries=depth))
-            for depth in (4, 8, 16, 32)]
-    plan = FaultPlan().fail(indices=[1], attempts=1)
-    cap = Cap()
-    results = run_grid(jobs, workers=1, backend="batch", fault_plan=plan,
-                       backoff=0.0, telemetry=_hub(sinks=[cap]))
-    batched = cap.of("batched")
-    assert len(batched) == 1
-    assert batched[0]["members"] == [0, 1, 2, 3]
-    assert batched[0]["size"] == 4
-    assert all(r["batched"] for r in cap.of("started")[:4])
-    degraded = cap.of("degraded-to-scalar")
-    assert [r["job"] for r in degraded] == [1]
-    retry = cap.of("retry")[0]
-    assert retry["job"] == 1
-    # The healed member reruns scalar: a second, unbatched start.
-    rerun = [r for r in cap.of("started") if r["job"] == 1][-1]
-    assert rerun["batched"] is False
-    assert all(result.ok for result in results)
-    end_metrics = cap.events[-1]["metrics"]
-    assert end_metrics["batches"] == 1
-    assert end_metrics["degraded_to_scalar"] == 1
-    _reconcile(cap, results)
+def test_legacy_batch_event_log_loads_and_audits_clean(tmp_path):
+    # Logs written while a batch backend existed carry ``batched`` and
+    # ``degraded-to-scalar`` lines: they still load, audit, and export.
+    def line(event, t, job=None, **data):
+        record = {"event": event, "t": t, "sweep_id": "old"}
+        if job is not None:
+            record.update(job=job, workload="LL5")
+        record.update(data)
+        return json.dumps(record)
+
+    lines = [line("sweep-start", 0.0, total=2, workers=1, backend="batch",
+                  schema=1),
+             line("queued", 0.0, 0), line("queued", 0.0, 1),
+             line("batched", 0.0, members=[0, 1], size=2, workload="LL5"),
+             line("started", 0.1, 0, attempt=1, batched=True),
+             line("started", 0.1, 1, attempt=1, batched=True),
+             line("done", 0.5, 0, cycles=100, wall_seconds=0.2,
+                  backend="batch", attempts=1),
+             line("degraded-to-scalar", 0.5, 1,
+                  reason="batch member exception; retrying scalar"),
+             line("retry", 0.5, 1, kind="exception", attempt=1, delay=0.0),
+             line("started", 0.6, 1, attempt=2, batched=False),
+             line("done", 0.9, 1, cycles=100, wall_seconds=0.3,
+                  backend="scalar", attempts=2),
+             line("sweep-end", 1.0, metrics={"batches": 1}, cache=None)]
+    log = tmp_path / "legacy.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    events = load_events(log)
+    assert len(events) == len(lines)
+    summary = summarize(events)
+    assert summary["violations"] == []
+    assert summary["metrics"].done == 2
+    assert summary["metrics"].retries == 1
+    text, ok = render_summary(events)
+    assert ok and "accounting: ok" in text
+    collector = SweepTraceCollector()
+    for record in events:
+        collector(SweepEvent.from_dict(record))
+    assert validate_trace(collector.trace()) == []
 
 
 def test_telemetry_attachment_never_changes_cycle_counts():

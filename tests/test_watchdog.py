@@ -11,6 +11,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import MachineConfig, PipelineSim
+from repro.core.config import CacheConfig
 from repro.core.pipeline import DeadlockError, SimulationHang
 from repro.isa.opcodes import FuClass
 from repro.workloads import by_name
@@ -92,6 +93,27 @@ def test_watchdog_disabled_falls_back_to_max_cycles():
         sim.run()
     assert not isinstance(excinfo.value, SimulationHang)
     assert sim.cycle >= 2_000
+
+
+@pytest.mark.parametrize("fast_forward", [True, False],
+                         ids=["ff", "no-ff"])
+@pytest.mark.parametrize("policy,cache", [
+    ("true_rr", CacheConfig(size_bytes=256, assoc=1, miss_penalty=64)),
+    ("cond_switch", None),
+], ids=["true_rr-dcache256", "cond_switch"])
+def test_watchdog_fires_on_real_icache_wedge(policy, cache, fast_forward):
+    # A genuine wedge from legal code: four threads thrashing a 512-byte
+    # instruction cache stop committing for good. The watchdog must
+    # report it as a hang, in both fast-forward modes.
+    kwargs = dict(nthreads=4, su_entries=32, fetch_policy=policy,
+                  fast_forward=fast_forward, hang_cycles=20_000,
+                  icache=CacheConfig(size_bytes=512, assoc=2,
+                                     miss_penalty=8))
+    if cache is not None:
+        kwargs["cache"] = cache
+    sim = PipelineSim(by_name("LL2").program(4), MachineConfig(**kwargs))
+    with pytest.raises(SimulationHang):
+        sim.run()
 
 
 def test_default_watchdog_does_not_fire_on_real_workloads():
