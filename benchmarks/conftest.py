@@ -1,11 +1,12 @@
-"""Shared fixtures for the per-figure benchmark suite.
+"""Session fixture for the paper-artifact suite.
 
-All benchmark modules share one memoizing Runner, so configurations
-common to several figures (e.g. the default 4-thread machine) are
-simulated once. Results accumulate in ``benchmarks/results.json`` for
-EXPERIMENTS.md.
+The session simulates the distinct union of the selected artifacts'
+grid jobs once, through :func:`repro.harness.run_artifacts`
+(``run_grid`` with ``REPRO_WORKERS`` worker processes), and each test
+reduces its share. Results accumulate in ``benchmarks/results.json``
+for EXPERIMENTS.md.
 
-The Runner is additionally backed by a persistent disk cache
+The grid is backed by a persistent disk cache
 (``benchmarks/.result_cache.json``), so a repeated session replays
 finished simulations from JSON — set ``REPRO_NO_DISK_CACHE=1`` to
 force everything to re-simulate. Entries key on the engine version,
@@ -19,33 +20,28 @@ import pathlib
 
 import pytest
 
-from repro.harness import DiskResultCache, Runner
-from repro.workloads import GROUP_I, GROUP_II
+from repro.harness import DiskResultCache, run_artifacts
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results.json"
 CACHE_PATH = pathlib.Path(__file__).parent / ".result_cache.json"
 
 _results = {}
-_disk_cache = None
+_session = {"cache": None, "jobs": None}
 
 
 @pytest.fixture(scope="session")
-def runner():
-    global _disk_cache
-    if os.environ.get("REPRO_NO_DISK_CACHE") == "1":
-        return Runner()
-    _disk_cache = DiskResultCache(CACHE_PATH, autosave=False)
-    return Runner(disk_cache=_disk_cache)
-
-
-@pytest.fixture(scope="session")
-def group1():
-    return GROUP_I
-
-
-@pytest.fixture(scope="session")
-def group2():
-    return GROUP_II
+def grid_results(request):
+    """Results of every selected artifact's jobs (all of them unless
+    ``-k`` narrows the session)."""
+    selected = [item.callspec.params["artifact"]
+                for item in request.session.items
+                if hasattr(item, "callspec")
+                and "artifact" in item.callspec.params]
+    if os.environ.get("REPRO_NO_DISK_CACHE") != "1":
+        _session["cache"] = DiskResultCache(CACHE_PATH, autosave=False)
+    results = run_artifacts(selected, disk_cache=_session["cache"])
+    _session["jobs"] = results
+    return results
 
 
 def record(experiment, data):
@@ -53,30 +49,22 @@ def record(experiment, data):
     _results[experiment] = data
 
 
-def median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def geomean_speedup(cycles_a, cycles_b, names):
-    """Average of per-benchmark speedups of a over b."""
-    speedups = [cycles_b[n] / cycles_a[n] - 1 for n in names]
-    return sum(speedups) / len(speedups)
-
-
 def pytest_terminal_summary(terminalreporter):
-    if _disk_cache is not None:
-        terminalreporter.write_line(_disk_cache.stats_line())
+    jobs = _session["jobs"]
+    if jobs is not None:
+        aligned = sum(1 for _, is_aligned, _ in jobs if is_aligned)
+        terminalreporter.write_line(
+            f"artifact grid: {len(jobs)} distinct jobs "
+            f"({len(jobs) - aligned} plain, {aligned} aligned)")
+    if _session["cache"] is not None:
+        terminalreporter.write_line(_session["cache"].stats_line())
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _write_results():
     yield
-    if _disk_cache is not None:
-        _disk_cache.save()
+    if _session["cache"] is not None:
+        _session["cache"].save()
     if _results:
         existing = {}
         if RESULTS_PATH.exists():

@@ -4,26 +4,31 @@
 Runs three of the paper's benchmarks under True Round Robin, Masked
 Round Robin, and Conditional Switch with four threads, next to the
 single-threaded base case, and prints the cycle counts the way the
-figures report them.
+figures report them. The grid is the registry's ``fetch`` grid, the
+same one ``repro report --experiment fetch`` and the benchmark suite
+run.
 
 Run with: ``python examples/fetch_policy_study.py``
-(the three cycle-accurate runs per benchmark take ~tens of seconds).
+(the four cycle-accurate runs per benchmark take ~tens of seconds).
 """
 
-from repro.harness import Runner, fetch_policy_study, series_table
-from repro.workloads import BY_NAME
+from repro.harness import GRIDS, run_grid, series_table
 
 
 def main():
-    workloads = [BY_NAME["LL1"], BY_NAME["LL5"], BY_NAME["Water"]]
-    runner = Runner(quiet=False)
+    names = ["LL1", "LL5", "Water"]
+    jobs = GRIDS["fetch"].jobs(names, threads=(4,))
     print("running fetch-policy study (4 threads + base case)...")
-    series = fetch_policy_study(runner, workloads, nthreads=4)
+    results = run_grid([(name, config) for name, config, _ in jobs],
+                       strict=True)
+    series = {}
+    for (name, _, label), result in zip(jobs, results):
+        series.setdefault(label, {})[name] = result.cycles
     print()
     print(series_table("Cycles by fetch policy (cf. paper Figs. 3-4)",
-                       series, benchmarks=[w.name for w in workloads]))
+                       series, benchmarks=names))
     print()
-    for name in (w.name for w in workloads):
+    for name in names:
         true_rr = series["TrueRR"][name]
         base = series["BaseCase"][name]
         print(f"{name:8s} TrueRR speedup over base: {base / true_rr - 1:+.1%}")

@@ -30,9 +30,11 @@ Commands
     unless simulated cycle counts are bit-identical to the baseline and
     throughput is within the tolerance band (``--advisory-throughput``
     demotes throughput failures to warnings for noisy shared runners).
-``report --experiment {threads,fetch,su,cache}``
-    Re-run one paper experiment grid through the ledger and render the
-    corresponding EXPERIMENTS.md table from ledger data (``--csv`` for
+``report --experiment NAME``
+    Re-run one experiment grid of :mod:`repro.harness.experiments`
+    (``threads``, ``fetch``, ``su``, ``cache``, ``fu``, ``commit`` and
+    the ablation grids) through the ledger and render the corresponding
+    EXPERIMENTS.md table from ledger data (``--csv`` for
     a machine-readable copy). ``--live`` shows a one-line progress
     view, ``--events``/``--trace`` record the sweep's telemetry as a
     JSONL event log and a Perfetto timeline, and ``--sweep ID``
@@ -68,9 +70,11 @@ import sys
 import time
 
 from repro.asm import assemble, disassemble
+from repro.asm.errors import AsmError
 from repro.core import FetchPolicy, CommitPolicy, MachineConfig, PipelineSim
 from repro.funcsim import FunctionalSim
 from repro.lang import compile_source, compile_to_asm
+from repro.lang.errors import CompileError
 from repro.mem.cache import CacheConfig
 from repro.workloads import ALL_WORKLOADS, BY_NAME
 
@@ -84,6 +88,19 @@ class CliError(Exception):
     traceback escape for unknown workload names, missing files, and
     invalid machine configurations.
     """
+
+
+class _ReportGrids:
+    """``report --experiment`` choices: the grid registry's report
+    grids, imported only when argparse consults them, so commands other
+    than ``report`` start without loading the harness."""
+
+    def __iter__(self):
+        from repro.harness.experiments import report_grids
+        return iter(report_grids())
+
+    def __contains__(self, name):
+        return name in list(self)
 
 
 def _workload_choices():
@@ -210,6 +227,16 @@ def _machine_config(args):
         raise CliError(f"invalid configuration: {error}") from error
 
 
+def _build(label, build):
+    """``build()``, with a program that fails to compile or assemble
+    reported as a one-line :class:`CliError`."""
+    try:
+        return build()
+    except (CompileError, AsmError) as error:
+        raise CliError(f"{label}: cannot build the program: "
+                       f"{error}") from error
+
+
 def _load_program(path, nthreads, align):
     try:
         with open(path) as handle:
@@ -218,9 +245,9 @@ def _load_program(path, nthreads, align):
         raise CliError(
             f"cannot read {path!r}: {error.strerror or error}") from error
     if any(path.endswith(suffix) for suffix in _MINIC_SUFFIXES):
-        return compile_source(source, nthreads=nthreads,
-                              align_branch_targets=align)
-    return assemble(source, align_targets=align)
+        return _build(path, lambda: compile_source(
+            source, nthreads=nthreads, align_branch_targets=align))
+    return _build(path, lambda: assemble(source, align_targets=align))
 
 
 def cmd_asm(args):
@@ -294,7 +321,8 @@ def _resolve_program(name_or_path, nthreads, align):
     """A workload name (``repro workloads``) or a source-file path."""
     workload = BY_NAME.get(name_or_path)
     if workload is not None:
-        return workload.program(nthreads)
+        return _build(f"{name_or_path} with {nthreads} threads",
+                      lambda: workload.program(nthreads, aligned=align))
     if not any(name_or_path.endswith(s)
                for s in (".s",) + _MINIC_SUFFIXES) \
             and not os.path.exists(name_or_path):
@@ -400,7 +428,8 @@ def cmd_bench(args):
     telemetry, finish = _open_telemetry(args)
     if telemetry is not None:
         return _bench_grid(args, workload, config, telemetry, finish)
-    program = workload.program(args.threads)
+    program = _build(f"{workload.name} with {args.threads} threads",
+                     lambda: workload.program(args.threads))
     sim = PipelineSim(program, config)
     start = time.perf_counter()
     stats = sim.run()
@@ -822,9 +851,10 @@ def build_parser():
 
     p_report = sub.add_parser(
         "report", help="regenerate a paper figure's table from the ledger")
-    p_report.add_argument("--experiment", required=True,
-                          choices=["threads", "fetch", "su", "cache"],
-                          help="which paper experiment to regenerate")
+    p_report.add_argument("--experiment", required=True, metavar="NAME",
+                          choices=_ReportGrids(),
+                          help="which experiment grid to regenerate: "
+                               "%(choices)s")
     p_report.add_argument("--workloads", nargs="+", metavar="NAME",
                           help="workload subset (default: all paper "
                                "workloads)")

@@ -1,48 +1,32 @@
-"""Experiment harness: drivers that regenerate every table and figure.
+"""Experiment harness: the grids that regenerate every table and figure.
 
-Each function in :mod:`repro.harness.experiments` corresponds to one
-section of the paper's evaluation and returns plain data structures;
-:mod:`repro.harness.tables` renders them as the tables/series the paper
-reports. Runs are memoized per (workload, configuration) so experiments
-that share a configuration (e.g. the single-threaded base case) reuse
-results.
+:mod:`repro.harness.experiments` is the registry of the paper's
+experiment grids and artifacts; :func:`~repro.harness.parallel.run_grid`
+runs their jobs (in parallel, with retries, the disk cache and the run
+ledger), and :mod:`repro.harness.tables` renders the tables.
 """
 
 from repro.harness.runner import Runner, RunResult
 from repro.harness.diskcache import CacheCorruptionWarning, DiskResultCache
 from repro.harness.parallel import (GridError, GridInterrupted, JobFailure,
                                     cross, default_workers, run_grid)
-from repro.harness.experiments import (
-    cache_study,
-    commit_study,
-    fetch_policy_study,
-    fu_study,
-    fu_usage_study,
-    speedup_summary,
-    su_depth_study,
-    thread_sweep,
-)
+from repro.harness.experiments import ARTIFACTS, GRIDS, run_artifacts
 from repro.harness.tables import format_table, series_table
 
 __all__ = [
+    "ARTIFACTS",
     "CacheCorruptionWarning",
     "DiskResultCache",
+    "GRIDS",
     "GridError",
     "GridInterrupted",
     "JobFailure",
     "RunResult",
     "Runner",
-    "cache_study",
-    "commit_study",
     "cross",
     "default_workers",
-    "fetch_policy_study",
     "format_table",
-    "fu_study",
-    "fu_usage_study",
+    "run_artifacts",
     "run_grid",
     "series_table",
-    "speedup_summary",
-    "su_depth_study",
-    "thread_sweep",
 ]

@@ -80,8 +80,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.asm.errors import AsmError
 from repro.core.config import MachineConfig
-from repro.core.pipeline import DeadlockError
-from repro.harness.runner import Runner, program_hash
+from repro.core.pipeline import ENGINE_VERSION, DeadlockError
+from repro.harness.diskcache import hash_key
+from repro.harness.runner import Runner, _config_key, program_hash
 from repro.lang.errors import CompileError
 
 #: Environment variable pinning the worker-pool size (clamped to >= 1).
@@ -220,8 +221,17 @@ class _InterruptGuard:
 
 
 def _job_key(workload, config, aligned, program, instrument=False):
-    return Runner._disk_key(
-        Runner._mem_key(workload, aligned, config, instrument), program)
+    """Disk-cache key (and service job id) of one grid job.
+
+    Keyed on the engine version, the program content and the full
+    configuration. Instrumented runs carry a marker element: same
+    cycle counts, richer payload, so they never collide with plain
+    entries.
+    """
+    key = (workload.name, aligned, _config_key(config))
+    if instrument:
+        key = (workload.name, aligned, "instrumented", _config_key(config))
+    return hash_key(ENGINE_VERSION, key, program_hash(program))
 
 
 def _run_job(job):

@@ -1,22 +1,17 @@
-"""Memoizing simulation runner used by every experiment.
+"""One verified simulation, and the payload it travels as.
 
-The runner caches at two levels:
-
-* an in-memory dict, so experiments sharing a configuration within one
-  process (e.g. the single-threaded base case) simulate it once; and
-* optionally a :class:`~repro.harness.diskcache.DiskResultCache`, so
-  repeated *processes* (a second ``pytest benchmarks/`` session, figure
-  regeneration, parallel workers) replay finished runs from JSON
-  instead of re-simulating.
+:func:`~repro.harness.parallel.run_grid` runs every experiment job
+through :class:`Runner` — inline or in a pool worker — and caches,
+ships and rebuilds the result as a plain-data payload. The module also
+holds the pieces of a job's cache identity: :func:`_config_key`,
+:func:`program_hash` and the per-process :func:`decoded_program` cache.
 """
 
 import hashlib
 import time
 
-from repro.core import MachineConfig, PipelineSim
-from repro.core.pipeline import ENGINE_VERSION
+from repro.core import PipelineSim
 from repro.core.stats import SimStats
-from repro.harness.diskcache import DiskResultCache
 
 
 class RunResult:
@@ -126,7 +121,11 @@ def decoded_program(workload, nthreads, aligned=False):
 
 
 class Runner:
-    """Runs workloads on configurations, caching results.
+    """Runs one workload on one configuration and verifies the result.
+
+    :func:`~repro.harness.parallel.run_grid` is the caller: it computes
+    the disk-cache key, does the cache get and put, and ships results
+    between processes as :meth:`_to_payload` dictionaries.
 
     Parameters
     ----------
@@ -134,20 +133,10 @@ class Runner:
         When True (default), every run's checksum is compared against
         the workload's Python mirror; a mismatch raises immediately —
         a performance number from a wrong computation is worthless.
-    quiet:
-        Suppress the per-run progress line.
-    disk_cache:
-        ``None`` (default) for in-memory memoization only; a
-        :class:`~repro.harness.diskcache.DiskResultCache` instance; or a
-        path-like, which constructs one. Entries are keyed on the
-        engine version, the program content, and the full configuration
-        (see :mod:`repro.harness.diskcache`).
     instrument:
         Attach stall attribution and interval metrics to every run, so
         results carry ``stats.stall_breakdown`` and
-        ``stats.interval_metrics``. Instrumented runs use a distinct
-        cache key (same cycle counts, richer payload), so they never
-        collide with — or invalidate — plain entries.
+        ``stats.interval_metrics``.
     """
 
     #: Fields every cached result payload must carry; passed to
@@ -156,44 +145,22 @@ class Runner:
     #: :meth:`_from_payload`.
     RESULT_SCHEMA = ("nthreads", "stats", "checksum", "verified")
 
-    def __init__(self, verify=True, quiet=True, disk_cache=None,
-                 instrument=False):
+    def __init__(self, verify=True, instrument=False):
         self.verify = verify
-        self.quiet = quiet
-        if disk_cache is not None and not isinstance(disk_cache,
-                                                     DiskResultCache):
-            disk_cache = DiskResultCache(disk_cache,
-                                         schema=Runner.RESULT_SCHEMA)
-        self.disk_cache = disk_cache
         self.instrument = instrument
-        self._cache = {}
 
-    def run(self, workload, config=None, aligned=False, **overrides):
-        """Simulate ``workload`` under ``config`` (plus overrides).
+    def run(self, workload, config, aligned=False):
+        """Simulate ``workload`` under ``config``.
 
         ``aligned`` compiles the workload with branch-target alignment.
         """
-        config = (config or MachineConfig()).replace(**overrides) \
-            if overrides else (config or MachineConfig())
         if config.max_cycles > 2_000_000:
             # Benchmarks finish in tens of thousands of cycles; cap the
             # guard so a pathological configuration fails fast instead
             # of burning an hour of single-core simulation.
             config = config.replace(max_cycles=2_000_000)
-        key = self._mem_key(workload, aligned, config, self.instrument)
-        if key in self._cache:
-            return self._cache[key]
         nthreads = config.nthreads
-        program, phash = decoded_program(workload, nthreads, aligned=aligned)
-        disk = self.disk_cache
-        disk_key = None
-        if disk is not None:
-            disk_key = self._disk_key(key, program, phash)
-            payload = disk.get(disk_key)
-            if payload is not None:
-                result = self._from_payload(workload, config, payload)
-                self._cache[key] = result
-                return result
+        program, _ = decoded_program(workload, nthreads, aligned=aligned)
         sim = PipelineSim(program, config)
         if self.instrument:
             attr = sim.attach_attribution()
@@ -209,30 +176,8 @@ class Runner:
             raise AssertionError(
                 f"{workload.name} with {nthreads} threads computed "
                 f"{checksum!r}, expected {workload.expected(nthreads)!r}")
-        result = RunResult(workload, nthreads, stats, checksum, verified,
-                           wall_seconds)
-        self._cache[key] = result
-        if disk is not None:
-            disk.put(disk_key, self._to_payload(result))
-        if not self.quiet:
-            print(f"  {workload.name:8s} threads={nthreads} "
-                  f"cycles={stats.cycles:8d} ipc={stats.ipc:.2f}")
-        return result
-
-    @staticmethod
-    def _mem_key(workload, aligned, config, instrument=False):
-        # Plain runs keep the historical key shape, so existing disk
-        # caches stay valid; instrumented runs get a marker element.
-        if instrument:
-            return (workload.name, aligned, "instrumented",
-                    _config_key(config))
-        return (workload.name, aligned, _config_key(config))
-
-    @staticmethod
-    def _disk_key(key, program, phash=None):
-        from repro.harness.diskcache import hash_key
-        return hash_key(ENGINE_VERSION, key,
-                        phash if phash is not None else program_hash(program))
+        return RunResult(workload, nthreads, stats, checksum, verified,
+                         wall_seconds)
 
     @staticmethod
     def _to_payload(result):

@@ -11,15 +11,12 @@ Two consumers of :mod:`repro.obs.ledger` records:
   then renders the corresponding figure's table **from the ledger
   records** — proving the durable record alone carries everything the
   paper's curves need. Each report cross-references the matching
-  section of ``EXPERIMENTS.md`` via
-  :data:`repro.harness.experiments.FIGURE_INDEX`.
+  section of ``EXPERIMENTS.md`` via the grid registry
+  :data:`repro.harness.experiments.GRIDS`.
 """
 
-from repro.core import FetchPolicy, MachineConfig
-from repro.harness.experiments import (DEFAULT_THREADS, FIGURE_INDEX,
-                                       SU_DEPTHS, THREAD_RANGE)
+from repro.harness.experiments import GRIDS, report_grids
 from repro.harness.tables import format_table
-from repro.mem.cache import CacheConfig
 from repro.obs.attribution import CATEGORIES
 from repro.obs import ledger as ledger_mod
 
@@ -115,7 +112,7 @@ def render_diff(record_a, record_b):
 # ------------------------------------------------------------ experiments
 
 def build_experiment(name, workloads=None, threads=None):
-    """Grid for one paper experiment.
+    """Grid for one paper experiment (see :func:`report_grids`).
 
     Returns ``(title, value_kind, columns, jobs)`` where ``jobs`` is a
     list of ``(workload_name, MachineConfig, column_label)`` triples in
@@ -123,54 +120,14 @@ def build_experiment(name, workloads=None, threads=None):
     """
     from repro.workloads import ALL_WORKLOADS
 
+    if name not in report_grids():
+        raise ValueError(f"unknown experiment {name!r}; expected one of "
+                         f"{', '.join(sorted(report_grids()))}")
     if workloads is None:
         workloads = [w.name for w in ALL_WORKLOADS]
-    jobs = []
-    if name == "threads":
-        threads = tuple(threads or THREAD_RANGE)
-        columns = [f"{n}T" for n in threads]
-        for wname in workloads:
-            for n in threads:
-                jobs.append((wname, MachineConfig(nthreads=n), f"{n}T"))
-        return ("IPC vs thread count", "ipc", columns, jobs)
-    if name == "fetch":
-        nthreads = (threads or (DEFAULT_THREADS,))[0]
-        policies = [(FetchPolicy.TRUE_RR, "TrueRR"),
-                    (FetchPolicy.MASKED_RR, "MaskedRR"),
-                    (FetchPolicy.COND_SWITCH, "CSwitch")]
-        columns = [label for _, label in policies] + ["BaseCase"]
-        for wname in workloads:
-            for policy, label in policies:
-                jobs.append((wname, MachineConfig(
-                    nthreads=nthreads, fetch_policy=policy), label))
-            jobs.append((wname, MachineConfig(nthreads=1), "BaseCase"))
-        return (f"fetch-policy comparison ({nthreads} threads, cycles)",
-                "cycles", columns, jobs)
-    if name == "su":
-        thread_points = tuple(threads or (1, DEFAULT_THREADS))
-        columns = [f"{n}T/su{d}" for n in thread_points for d in SU_DEPTHS]
-        for wname in workloads:
-            for n in thread_points:
-                for depth in SU_DEPTHS:
-                    jobs.append((wname, MachineConfig(
-                        nthreads=n, su_entries=depth), f"{n}T/su{depth}"))
-        return ("scheduling-unit depth sweep (cycles)",
-                "cycles", columns, jobs)
-    if name == "cache":
-        thread_points = tuple(threads or (1, 2, 4, 6))
-        variants = [("direct", CacheConfig(assoc=1)),
-                    ("assoc", CacheConfig(assoc=4))]
-        columns = [f"{n}T/{label}" for n in thread_points
-                   for label, _ in variants]
-        for wname in workloads:
-            for n in thread_points:
-                for label, cache in variants:
-                    jobs.append((wname, MachineConfig(
-                        nthreads=n, cache=cache), f"{n}T/{label}"))
-        return ("direct-mapped vs associative cache (cycles)",
-                "cycles", columns, jobs)
-    raise ValueError(f"unknown experiment {name!r}; expected one of "
-                     f"{', '.join(sorted(FIGURE_INDEX))}")
+    grid = GRIDS[name]
+    return (grid.title_for(threads), grid.kind, grid.columns(threads),
+            grid.jobs(workloads, threads))
 
 
 def _value(record, kind):
@@ -276,7 +233,7 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
     rows = [[wname] + [_value(wanted[(wname, label)], kind)
                        for label in columns]
             for wname in row_names]
-    figures = FIGURE_INDEX.get(name, "")
+    figures = GRIDS[name].section
     scope = f", sweep {sweep}" if sweep is not None else ""
     header = (f"# repro report --experiment {name} — {figures}\n"
               f"# cf. EXPERIMENTS.md; ledger: {ledger.path} "

@@ -128,6 +128,19 @@ def test_run_with_alignment(asm_file, capsys):
     assert main(["run", asm_file, "--align"]) == 0
 
 
+def test_stats_align_applies_to_named_workloads(capsys):
+    from repro.core import MachineConfig, PipelineSim
+    from repro.workloads import by_name
+
+    assert main(["stats", "LL2", "--threads", "4", "--align"]) == 0
+    cycles = int(capsys.readouterr().out.split("cycles:")[1].split()[0])
+    config = MachineConfig(nthreads=4)
+    aligned = PipelineSim(by_name("LL2").program(4, aligned=True), config)
+    assert cycles == aligned.run().cycles
+    plain = PipelineSim(by_name("LL2").program(4), config)
+    assert cycles != plain.run().cycles
+
+
 def test_bench_extra_workload(capsys):
     assert main(["bench", "LL11", "--threads", "2"]) == 0
     assert "verified" in capsys.readouterr().out
@@ -227,7 +240,8 @@ def test_report_cli_end_to_end(tmp_path, capsys):
     assert csv.read_text().startswith("benchmark,1T,2T")
 
 
-def test_report_unbuildable_program_exits_2_with_one_line(capsys):
+def test_report_unbuildable_program_exits_2_with_one_line(tmp_path,
+                                                         capsys):
     # LL7 does not compile for 8 threads: one line on stderr, exit 2.
     assert main(["report", "--experiment", "threads",
                  "--workloads", "LL7", "--threads", "8",
@@ -235,6 +249,23 @@ def test_report_unbuildable_program_exits_2_with_one_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "LL7" in err and "after 1 attempt(s)" in err
+    # The single-run commands report it the same way.
+    bad_minic = tmp_path / "bad.mc"
+    bad_minic.write_text("void main() { int x; x = ; }")
+    bad_asm = tmp_path / "bad.s"
+    bad_asm.write_text("frobnicate r1, r2\n")
+    for argv, name in (
+            (["stats", "LL7", "--threads", "8"], "LL7"),
+            (["trace", "LL7", "--threads", "8",
+              "--out", str(tmp_path / "t.json")], "LL7"),
+            (["bench", "LL7", "--threads", "8"], "LL7"),
+            (["run", str(bad_minic)], "bad.mc"),
+            (["run", str(bad_asm)], "bad.s")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("repro: ") and name in err
+        assert "cannot build the program" in err
 
 
 def test_report_unknown_workload_exits_2(capsys):

@@ -10,6 +10,7 @@ from repro.core.config import MachineConfig
 from repro.core.stats import SimStats
 from repro.harness.diskcache import (CacheCorruptionWarning, DiskResultCache,
                                      FILE_FORMAT, hash_key)
+from repro.harness.parallel import run_grid
 from repro.harness.runner import Runner, _config_key, program_hash
 from repro.workloads import by_name
 
@@ -153,22 +154,28 @@ def test_stale_engine_entries_dropped(tmp_path):
     assert cache.get("fresh") == {"cycles": 2}
 
 
+def _grid_run(workload, config, cache):
+    """One job through run_grid, which does the disk-cache get and put."""
+    return run_grid([(workload, config)], workers=1, disk_cache=cache,
+                    strict=True)[0]
+
+
 def test_engine_version_bump_never_serves_stale_cycles(tmp_path):
     """A version bump turns every cached entry into a miss, not a lie.
 
     Simulate once under the current ENGINE_VERSION, then rewrite the
     cache file as if a *previous* engine had produced it — with
-    poisoned cycle counts. A fresh Runner must drop the stale entries
-    and re-simulate, returning the true cycles; serving the poisoned
-    payload would mean a timing-model change could leak through the
-    cache.
+    poisoned cycle counts. A fresh cache must drop the stale entries
+    and the grid re-simulate, returning the true cycles; serving the
+    poisoned payload would mean a timing-model change could leak
+    through the cache.
     """
     from repro.core.pipeline import ENGINE_VERSION
 
     workload = by_name("LL2")
     config = MachineConfig(nthreads=2)
     path = tmp_path / "cache.json"
-    baseline = Runner(disk_cache=path).run(workload, config)
+    baseline = _grid_run(workload, config, path)
 
     document = json.loads(path.read_text())
     for entry in document["entries"].values():
@@ -176,10 +183,10 @@ def test_engine_version_bump_never_serves_stale_cycles(tmp_path):
         entry["payload"]["cycles"] = 1  # poison: must never be served
     path.write_text(json.dumps(document))
 
-    fresh = Runner(disk_cache=path)
     with pytest.warns(CacheCorruptionWarning, match="stale"):
-        result = fresh.run(workload, config)
-    assert fresh.disk_cache.hits == 0
+        fresh = DiskResultCache(path, schema=Runner.RESULT_SCHEMA)
+    result = _grid_run(workload, config, fresh)
+    assert fresh.hits == 0
     assert result.cycles == baseline.cycles != 1
 
 
@@ -188,17 +195,17 @@ def test_runner_disk_cache_skips_simulation(tmp_path, monkeypatch):
     config = MachineConfig(nthreads=2)
     path = tmp_path / "cache.json"
 
-    first = Runner(disk_cache=path)
-    baseline = first.run(workload, config)
-    assert first.disk_cache.misses == 1
+    first = DiskResultCache(path, schema=Runner.RESULT_SCHEMA)
+    baseline = _grid_run(workload, config, first)
+    assert first.misses == 1
 
-    second = Runner(disk_cache=path)
+    second = DiskResultCache(path, schema=Runner.RESULT_SCHEMA)
     # Prove the replay path never simulates.
     monkeypatch.setattr(
         "repro.harness.runner.PipelineSim",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("simulated")))
-    replayed = second.run(workload, config)
-    assert second.disk_cache.hits == 1
+    replayed = _grid_run(workload, config, second)
+    assert second.hits == 1
     assert replayed.cycles == baseline.cycles
     assert replayed.checksum == baseline.checksum
     assert replayed.verified
@@ -212,13 +219,13 @@ def test_runner_replays_payloads_with_legacy_backend_field(tmp_path):
     workload = by_name("LL5")
     config = MachineConfig(nthreads=1)
     cache_path = tmp_path / "results.json"
-    fresh = Runner(disk_cache=cache_path).run(workload, config)
+    fresh = _grid_run(workload, config, cache_path)
     document = json.loads(cache_path.read_text())
     for entry in document["entries"].values():
         assert "backend" not in entry["payload"]
         entry["payload"]["backend"] = "batch"
     cache_path.write_text(json.dumps(document))
-    replay = Runner(disk_cache=cache_path).run(workload, config)
+    replay = _grid_run(workload, config, cache_path)
     assert replay.stats.to_dict() == fresh.stats.to_dict()
     assert replay.checksum == fresh.checksum
 

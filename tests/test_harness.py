@@ -1,26 +1,13 @@
-"""Harness tests: runner memoization, experiment drivers on a tiny
-workload subset, and table rendering."""
+"""Harness tests: the runner, the experiment registry's grids and
+reducers on a tiny workload, and table rendering."""
 
 import pytest
 
-from repro.core import CommitPolicy, FetchPolicy, MachineConfig
-from repro.harness import (
-    Runner,
-    cache_study,
-    commit_study,
-    fetch_policy_study,
-    format_table,
-    fu_study,
-    fu_usage_study,
-    series_table,
-    speedup_summary,
-    su_depth_study,
-    thread_sweep,
-)
+from repro.core import MachineConfig
+from repro.harness import (ARTIFACTS, Runner, format_table, run_artifacts,
+                           series_table)
 from repro.harness.experiments import speedup
-from repro.isa.opcodes import FuClass
-from repro.lang import compile_source
-from repro.workloads import Workload
+from repro.workloads import BY_NAME, Workload
 
 # A tiny synthetic workload so harness tests stay fast.
 _TINY_SOURCE = """
@@ -54,29 +41,43 @@ def _tiny_mirror(nthreads):
 TINY = Workload("Tiny", 1, _TINY_SOURCE, _tiny_mirror, tolerance=0)
 
 
+_ARTIFACTS = {artifact.id: artifact for artifact in ARTIFACTS}
+
+
 @pytest.fixture(scope="module")
-def runner():
-    return Runner()
+def tiny_value():
+    """Value of a registry artifact run with TINY as its workloads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(BY_NAME, "Tiny", TINY)
+
+        def value(artifact_id, threads):
+            artifact = _ARTIFACTS[artifact_id]
+            workloads = ({group: ("Tiny",) for group in artifact.workloads}
+                         if isinstance(artifact.workloads, dict)
+                         else ("Tiny",))
+            artifact = artifact._replace(workloads=workloads,
+                                         threads=threads)
+            return artifact.value(run_artifacts([artifact], workers=1))
+
+        yield value
 
 
-def test_runner_verifies_and_caches(runner):
+def test_runner_verifies_and_round_trips_payload():
     config = MachineConfig(nthreads=2)
-    first = runner.run(TINY, config)
-    second = runner.run(TINY, config)
-    assert first is second
+    first = Runner().run(TINY, config)
     assert first.verified
     assert first.cycles > 0
+    # The payload round trip run_grid ships results through.
+    replay = Runner()._from_payload(TINY, config, Runner._to_payload(first))
+    assert replay.stats.to_dict() == first.stats.to_dict()
+    assert replay.checksum == first.checksum
 
 
-def test_runner_distinguishes_configs(runner):
-    a = runner.run(TINY, MachineConfig(nthreads=2))
-    b = runner.run(TINY, MachineConfig(nthreads=2, su_entries=32))
-    assert a is not b
-
-
-def test_runner_overrides(runner):
-    result = runner.run(TINY, MachineConfig(nthreads=2), su_entries=128)
-    assert result.stats.config.su_entries == 128
+def test_runner_distinguishes_configs():
+    a = Runner().run(TINY, MachineConfig(nthreads=2))
+    b = Runner().run(TINY, MachineConfig(nthreads=2, su_entries=32))
+    assert a.stats.config.su_entries == 64
+    assert b.stats.config.su_entries == 32
 
 
 def test_runner_flags_wrong_checksum():
@@ -85,46 +86,47 @@ def test_runner_flags_wrong_checksum():
         Runner().run(bad, MachineConfig(nthreads=1))
 
 
-def test_fetch_policy_study_shape(runner):
-    series = fetch_policy_study(runner, [TINY], nthreads=2)
+def test_fetch_policy_study_shape(tiny_value):
+    series = tiny_value("E1", (2,))
     assert set(series) == {"TrueRR", "MaskedRR", "CSwitch", "BaseCase"}
     assert all("Tiny" in row for row in series.values())
 
 
-def test_thread_sweep_shape(runner):
-    sweep = thread_sweep(runner, [TINY], threads=(1, 2))
-    assert set(sweep) == {1, 2}
-    assert sweep[1]["Tiny"] > 0
+def test_thread_sweep_shape(tiny_value):
+    sweep = tiny_value("E3", (1, 2))
+    assert set(sweep) == {"1", "2"}
+    assert sweep["1"]["Tiny"] > 0
 
 
-def test_cache_study_shape(runner):
-    study = cache_study(runner, [TINY], threads=(1, 2))
-    assert set(study) == {"direct", "assoc"}
-    entry = study["direct"][2]
-    assert 0 <= entry["hit_rates"]["Tiny"] <= 1
-    assert entry["cycles"]["Tiny"] > 0
+def test_cache_study_shape(tiny_value):
+    rates = tiny_value("E7", (1, 2))["group1"]
+    assert set(rates) == {"direct", "assoc"}
+    assert 0 <= rates["direct"]["2"] <= 1
+    cycles = tiny_value("E5", (1, 2))
+    assert cycles["direct"]["2"] > 0
 
 
-def test_su_depth_study_shape(runner):
-    study = su_depth_study(runner, [TINY], depths=(32, 64), threads=(1, 2))
-    assert set(study) == {(1, 32), (1, 64), (2, 32), (2, 64)}
+def test_su_depth_study_shape(tiny_value):
+    study = tiny_value("E8", (1, 2))
+    assert set(study) == {f"{n}T_su{d}" for n in (1, 2)
+                          for d in (32, 64, 128, 256)}
 
 
-def test_fu_study_shape(runner):
-    study = fu_study(runner, [TINY], threads=(2,))
-    assert set(study) == {(2, "default"), (2, "enhanced")}
+def test_fu_study_shape(tiny_value):
+    study = tiny_value("E10", (2,))
+    assert set(study) == {"2T_default", "2T_enhanced"}
 
 
-def test_fu_usage_study_reports_extra_units(runner):
-    usage = fu_usage_study(runner, [TINY], nthreads=2)
-    assert FuClass.IALU in usage
-    assert len(usage[FuClass.IALU]) == 2  # enhanced adds two ALUs
+def test_fu_usage_study_reports_extra_units(tiny_value):
+    usage = tiny_value("E12", (2,))["group1"]
+    assert "int_alu" in usage
+    assert len(usage["int_alu"]) == 2  # enhanced adds two ALUs
     for fractions in usage.values():
         assert all(0 <= f <= 1 for f in fractions)
 
 
-def test_commit_study_shape(runner):
-    study = commit_study(runner, [TINY], nthreads=2)
+def test_commit_study_shape(tiny_value):
+    study = tiny_value("E13", (2,))
     assert set(study) == {"Multiple", "Lowest"}
 
 
@@ -133,11 +135,12 @@ def test_speedup_formula():
     assert speedup(multi_cycles=200, single_cycles=100) == pytest.approx(-0.5)
 
 
-def test_speedup_summary_shape(runner):
-    summary = speedup_summary(runner, [TINY], threads=(1, 2))
-    entry = summary["Tiny"]
+def test_speedup_summary_shape(tiny_value):
+    entry = tiny_value("E16", (1, 2))["Tiny"]
     assert entry["best_threads"] == 2
-    assert 2 in entry["per_thread"]
+    assert entry["peak"] == speedup(
+        tiny_value("E3", (1, 2))["2"]["Tiny"],
+        tiny_value("E3", (1, 2))["1"]["Tiny"])
 
 
 def test_format_table_alignment():
@@ -165,3 +168,27 @@ def test_decoded_program_is_cached_and_prebuilt():
     # Execution closures were prebuilt for the ALU/FP instructions.
     assert any(getattr(instr, "_exec", None) is not None
                for instr in program_a.instructions)
+
+
+def _committed_results():
+    import json
+    import pathlib
+
+    path = (pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+            / "results.json")
+    return json.loads(path.read_text())
+
+
+def test_committed_results_satisfy_every_claim():
+    results = _committed_results()
+    for artifact in ARTIFACTS:
+        assert artifact.failed_claims(results[artifact.key]) == [], \
+            artifact.id
+
+
+def test_claims_catch_a_broken_shape():
+    # Fig. 7 with the associative cache 5% slower than direct-mapped.
+    fig7 = _committed_results()["fig7"]
+    fig7["assoc"] = {n: cycles * 1.05 for n, cycles in fig7["direct"].items()}
+    failed = _ARTIFACTS["E5"].failed_claims(fig7)
+    assert failed and failed[0].startswith("Associative is at least")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import MachineConfig, PipelineSim
-from repro.harness.runner import Runner
+from repro.harness.parallel import run_grid
 from repro.obs.metrics import Histogram, IntervalMetrics
 from repro.workloads import by_name
 
@@ -88,15 +88,20 @@ def test_interval_must_be_positive():
 
 # ------------------------------------------------------- harness plumbing
 
+def _grid_run(workload, config, cache, instrument=False):
+    return run_grid([(workload, config)], workers=1, disk_cache=cache,
+                    instrument=instrument, strict=True)[0]
+
+
 def test_instrumented_runner_disk_round_trip(tmp_path):
     cache = tmp_path / "cache.json"
     workload = by_name("LL2")
     config = MachineConfig(nthreads=2)
-    first = Runner(instrument=True, disk_cache=cache).run(workload, config)
+    first = _grid_run(workload, config, cache, instrument=True)
     assert first.stats.stall_breakdown is not None
     assert first.stats.interval_metrics is not None
     # A later process replays from disk with the full payload intact.
-    replay = Runner(instrument=True, disk_cache=cache).run(workload, config)
+    replay = _grid_run(workload, config, cache, instrument=True)
     assert replay.stats.cycles == first.stats.cycles
     assert replay.stats.stall_breakdown == first.stats.stall_breakdown
     assert replay.stats.interval_metrics == first.stats.interval_metrics
@@ -106,19 +111,17 @@ def test_instrumented_and_plain_cache_keys_disjoint(tmp_path):
     cache = tmp_path / "cache.json"
     workload = by_name("LL2")
     config = MachineConfig(nthreads=1)
-    plain = Runner(disk_cache=cache).run(workload, config)
+    plain = _grid_run(workload, config, cache)
     assert plain.stats.stall_breakdown is None
-    instrumented = Runner(instrument=True, disk_cache=cache) \
-        .run(workload, config)
+    instrumented = _grid_run(workload, config, cache, instrument=True)
     assert instrumented.stats.stall_breakdown is not None
     assert instrumented.stats.cycles == plain.stats.cycles
     # The plain entry was not clobbered by the instrumented one.
-    replay = Runner(disk_cache=cache).run(workload, config)
+    replay = _grid_run(workload, config, cache)
     assert replay.stats.stall_breakdown is None
 
 
 def test_run_grid_instrumented():
-    from repro.harness.parallel import run_grid
     results = run_grid([("LL2", MachineConfig(nthreads=1)),
                         ("LL2", MachineConfig(nthreads=2))],
                        workers=1, instrument=True)

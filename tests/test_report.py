@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.harness.experiments import FIGURE_INDEX
+from repro.harness.experiments import GRIDS
 from repro.obs.ledger import RunLedger, make_record
 from repro.obs.report import build_experiment, render_diff, run_report
 
@@ -84,22 +84,27 @@ def test_build_experiment_fetch_has_base_case():
 
 
 def test_default_experiment_grids_compile():
-    # Every program a default report grid asks for must build; checked
-    # by compiling, with no simulation. The threads report defaults to
-    # the paper's 1-6 thread range.
-    from repro.workloads import by_name
+    # Every program a registry grid asks for by default must build;
+    # checked by compiling, with no simulation. The threads report
+    # defaults to the paper's 1-6 thread range.
+    from repro.workloads import ALL_WORKLOADS, by_name
 
-    for name in FIGURE_INDEX:
-        _, _, columns, jobs = build_experiment(name)
-        if name == "threads":
-            assert columns == [f"{n}T" for n in range(1, 7)]
-        for wname, nthreads in {(w, c.nthreads) for w, c, _ in jobs}:
-            by_name(wname).program(nthreads)
+    names = [w.name for w in ALL_WORKLOADS]
+    _, _, columns, _ = build_experiment("threads")
+    assert columns == [f"{n}T" for n in range(1, 7)]
+    for grid in GRIDS.values():
+        for wname, nthreads, aligned in {
+                (w, c.nthreads, label in grid.aligned)
+                for w, c, label in grid.jobs(names)}:
+            by_name(wname).program(nthreads, aligned=aligned)
 
 
 def test_build_experiment_unknown_name():
-    with pytest.raises(ValueError, match="unknown experiment"):
-        build_experiment("bogus")
+    # The aligned X2 grid is not offered: ledger records cannot tell
+    # aligned runs from plain ones.
+    for name in ("bogus", "alignment"):
+        with pytest.raises(ValueError, match="unknown experiment"):
+            build_experiment(name)
 
 
 def test_run_report_renders_from_ledger(tmp_path):

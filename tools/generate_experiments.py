@@ -3,7 +3,7 @@
 
 Run the benchmark suite first::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/
     python tools/generate_experiments.py
 """
 
@@ -314,7 +314,7 @@ def build(results):
         "# EXPERIMENTS — paper vs measured",
         "",
         "Every table and figure of the paper's evaluation, regenerated by "
-        "`pytest benchmarks/ --benchmark-only`. The paper's own absolute "
+        "`pytest benchmarks/`. The paper's own absolute "
         "numbers are mostly lost to OCR, and our substrate is a scaled "
         "simulator, so the comparison is of *shapes*: orderings, rough "
         "factors, crossovers. Every run's computation is verified against "
